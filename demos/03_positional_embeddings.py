@@ -10,7 +10,7 @@ from memformer.embedding import (
     PatchProjector,
     PositionalEmbedding,
     sinusoid_encoding,
-    tokenize,
+    tokenize_batch,
 )
 
 rng = np.random.default_rng(3)
@@ -18,19 +18,19 @@ cube, _ = synth_scene(16, 16, 6, 2, seed=1)
 window = cube.values[:8, :8, :].astype(np.float64)
 
 print("== tokenizing an 8x8 window into 2x2 patches ==")
-tokens, coords = tokenize(window, 2)
-print(f"{tokens.shape[0]} tokens, each {tokens.shape[1:]}, grid coords:")
+tokens, coords = tokenize_batch(window[None], 2)
+print(f"{tokens.shape[1]} tokens, each {tokens.shape[2:]}, grid coords:")
 print(coords.T)
 
 print("\n== patch projection ==")
 projector = PatchProjector(16, 2, 6, rng)
-z = projector.forward(ad.constant(tokens[None]))
+z = projector.forward(ad.constant(tokens))
 print(f"projected batch shape: {z.shape} (ReLU output, so min = {z.data.min():.3f})")
 
 print("\n== the four embedding modes ==")
-profiles = np.abs(tokens[None]).mean(axis=(2, 3))
+profiles = np.abs(tokens).mean(axis=(2, 3))
 for mode in ("none", "learnable", "sinusoidal1d", "sspe"):
-    pe = PositionalEmbedding(mode, 16, tokens.shape[0], np.random.default_rng(5))
+    pe = PositionalEmbedding(mode, 16, tokens.shape[1], np.random.default_rng(5))
     table = pe.forward(coords, band_profiles=profiles if mode == "sspe" else None)
     row0 = table.data[0] if table.data.ndim == 2 else table.data[0, 0]
     body = table.data[1:] if table.data.ndim == 2 else table.data[0, 1:]
@@ -40,12 +40,12 @@ for mode in ("none", "learnable", "sinusoidal1d", "sspe"):
     )
 
 print("\n== sinusoid schedule ==")
-enc = sinusoid_encoding(np.array([0.0, 1.0, 2.0]), 6, 10000.0, 6)
-print("positions 0..2, interleaved sin/cos pairs:")
+enc = sinusoid_encoding(np.array([0.0, 1.0, 2.0]), 6)
+print("positions 0..2, one row each of interleaved sin/cos pairs:")
 print(np.round(enc, 4))
 
 print("\n== spectral half of the joint mode reacts to band content ==")
-pe = PositionalEmbedding("sspe", 16, tokens.shape[0], np.random.default_rng(5))
+pe = PositionalEmbedding("sspe", 16, tokens.shape[1], np.random.default_rng(5))
 flat = np.full_like(profiles, 1.0)  # uniform band energy
 spiky = np.zeros_like(profiles)
 spiky[..., 0] = 1.0  # all energy in band 0

@@ -43,9 +43,9 @@ z = ad.constant(rng.standard_normal((2, 3, 8)))
 bank_before = block.buffer.entries.copy()
 out_train = block.forward(z, train=True)
 print(f"training forward updated the bank: {not np.array_equal(block.buffer.entries, bank_before)}")
-frozen = block.buffer.entries.copy()
+bank_after_train = block.buffer.entries.copy()
 out_eval = block.forward(z, train=False)
-print(f"eval forward left it alone: {bool(np.array_equal(block.buffer.entries, frozen))}")
+print(f"eval forward left it alone: {bool(np.array_equal(block.buffer.entries, bank_after_train))}")
 
 print("\n== the bank never receives gradients ==")
 loss = ad.tensor_sum(block.forward(z, train=False))

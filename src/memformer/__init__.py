@@ -5,146 +5,25 @@ cube/label/manifest formats with a synthetic-scene generator, window
 tokenization with four positional-embedding modes, a FIFO memory-conditioned
 attention encoder, Adam, classification metrics, and a deterministic
 train/evaluate/ablate harness with a command-line front end.
+
+The package root exports the names a training script needs; everything else
+is imported from its module (``memformer.attention``, ``memformer.data``,
+and so on).
 """
 
-from .attention import (
-    AttentionWeights,
-    MemoryAttention,
-    MemoryBuffer,
-    StandardAttention,
-    attend,
-    project_memory,
-    residual_norm,
-    update_memory,
-)
-from .autodiff import Tensor, finite_diff_grad
-from .data import (
-    FormatError,
-    HSICube,
-    LabelMap,
-    SplitManifest,
-    extract_window,
-    load_cube,
-    load_labels,
-    load_manifest,
-    manifest_sha256,
-    manifest_text,
-    save_cube,
-    save_labels,
-    save_manifest,
-    stratified_split,
-    synth_scene,
-)
-from .embedding import (
-    PE_MODES,
-    PatchProjector,
-    PositionalEmbedding,
-    SSPEConfig,
-    sinusoid_encoding,
-    sspe_spatial,
-    sspe_spectral,
-    tokenize,
-    tokenize_batch,
-)
-from .harness import (
-    DEFAULT_MEMORY_SIZES,
-    EpochStats,
-    TrainConfig,
-    TrainResult,
-    ablate_attention,
-    ablate_pe,
-    config_fingerprint,
-    evaluate,
-    extract_samples,
-    parse_config_file,
-    sweep_memory,
-    train,
-    write_epoch_log,
-    write_report_csv,
-    write_report_text,
-)
-from .metrics import (
-    EvalReport,
-    average_accuracy,
-    cohens_kappa,
-    confusion_matrix,
-    overall_accuracy,
-    per_class_accuracy,
-)
-from .model import (
-    ATTENTION_MODES,
-    CheckpointError,
-    MemFormer,
-    ModelConfig,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .optim import Adam
+from .data import stratified_split, synth_scene
+from .harness import TrainConfig, evaluate, train
+from .model import MemFormer, ModelConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tensor",
-    "finite_diff_grad",
-    "FormatError",
-    "HSICube",
-    "LabelMap",
-    "SplitManifest",
-    "extract_window",
-    "load_cube",
-    "load_labels",
-    "load_manifest",
-    "manifest_sha256",
-    "manifest_text",
-    "save_cube",
-    "save_labels",
-    "save_manifest",
-    "stratified_split",
-    "synth_scene",
-    "PE_MODES",
-    "PatchProjector",
-    "PositionalEmbedding",
-    "SSPEConfig",
-    "sinusoid_encoding",
-    "sspe_spatial",
-    "sspe_spectral",
-    "tokenize",
-    "tokenize_batch",
-    "AttentionWeights",
-    "MemoryAttention",
-    "MemoryBuffer",
-    "StandardAttention",
-    "attend",
-    "project_memory",
-    "residual_norm",
-    "update_memory",
-    "ATTENTION_MODES",
-    "CheckpointError",
     "MemFormer",
     "ModelConfig",
-    "load_checkpoint",
-    "save_checkpoint",
-    "Adam",
-    "EvalReport",
-    "average_accuracy",
-    "cohens_kappa",
-    "confusion_matrix",
-    "overall_accuracy",
-    "per_class_accuracy",
-    "DEFAULT_MEMORY_SIZES",
-    "EpochStats",
     "TrainConfig",
-    "TrainResult",
-    "ablate_attention",
-    "ablate_pe",
-    "config_fingerprint",
-    "evaluate",
-    "extract_samples",
-    "parse_config_file",
-    "sweep_memory",
+    "synth_scene",
+    "stratified_split",
     "train",
-    "write_epoch_log",
-    "write_report_csv",
-    "write_report_text",
+    "evaluate",
     "__version__",
 ]

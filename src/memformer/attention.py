@@ -48,13 +48,6 @@ class MemoryBuffer:
         self.capacity = capacity
         self.width = width
         self.entries = np.zeros((capacity, width))
-        self.frozen = False
-
-    def freeze(self):
-        self.frozen = True
-
-    def thaw(self):
-        self.frozen = False
 
 
 class AttentionWeights:
@@ -130,11 +123,8 @@ def residual_norm(q, attn_out, gain, bias, eps=1e-5):
 def update_memory(buffer, attn_out):
     """Push the batch-and-token mean of ``attn_out`` into the FIFO bank.
 
-    A frozen buffer is left untouched (contractual no-op). The new entry is
-    raw data, never part of the compute graph.
+    The new entry is raw data, never part of the compute graph.
     """
-    if buffer.frozen:
-        return buffer
     data = attn_out.data if isinstance(attn_out, ad.Tensor) else np.asarray(attn_out)
     if data.ndim != 3 or data.shape[2] != buffer.width:
         raise ValueError(f"attention output {data.shape} does not match bank width {buffer.width}")
@@ -143,56 +133,11 @@ def update_memory(buffer, attn_out):
     return buffer
 
 
-class MemoryAttention:
-    """One memory-enhanced attention block: attend, refresh bank, re-attend.
+class _AttentionBlock:
+    """Projections, residual LayerNorm and dropout shared by both blocks.
 
-    Eval mode never touches the bank, so inference is a pure function of
-    inputs, parameters, and the stored entries.
-    """
-
-    def __init__(self, embed_dim, heads, capacity, rng, dropout_rate=0.1, eps=1e-5):
-        self.weights = AttentionWeights(embed_dim, heads, rng)
-        self.buffer = MemoryBuffer(capacity, embed_dim)
-        self.gain = ad.parameter(np.ones(embed_dim))
-        self.bias = ad.parameter(np.zeros(embed_dim))
-        self.dropout_rate = dropout_rate
-        self.eps = eps
-
-    def parameters(self, prefix):
-        params = self.weights.parameters(prefix)
-        params[f"{prefix}.ln_gain"] = self.gain
-        params[f"{prefix}.ln_bias"] = self.bias
-        return params
-
-    def forward(self, z, train=False, rng=None, return_weights=False):
-        """(B, N+1, K) tokens -> (B, N+1, K) block output.
-
-        Train mode performs the FIFO refresh and second attention pass, then
-        applies dropout to the attention output before the residual.
-        """
-        if z.ndim != 3:
-            raise ValueError(f"expected (batch, tokens, width) input, got {z.shape}")
-        batch = z.shape[0]
-        q = ad.matmul(z, self.weights.w_q)
-        k_m, v_m = project_memory(self.buffer, self.weights, batch)
-        attn, first_weights = attend(q, k_m, v_m, self.weights.heads, return_weights=True)
-        if train and not self.buffer.frozen:
-            update_memory(self.buffer, attn)
-            k_m, v_m = project_memory(self.buffer, self.weights, batch)
-            attn = attend(q, k_m, v_m, self.weights.heads)
-        if train and self.dropout_rate > 0:
-            attn = ad.dropout(attn, self.dropout_rate, rng, train=True)
-        out = residual_norm(q, attn, self.gain, self.bias, eps=self.eps)
-        if return_weights:
-            return out, first_weights
-        return out
-
-
-class StandardAttention:
-    """Plain one-pass multi-head self-attention with the same residual norm.
-
-    Keys and values come from the token sequence itself, so the score tensor
-    is B x h x (N+1) x (N+1) and there is no memory state.
+    Subclasses define ``forward``, which differs only in where keys and
+    values come from, and finish it with ``_residual``.
     """
 
     def __init__(self, embed_dim, heads, rng, dropout_rate=0.1, eps=1e-5):
@@ -208,6 +153,53 @@ class StandardAttention:
         params[f"{prefix}.ln_bias"] = self.bias
         return params
 
+    def _residual(self, q, attn, train, rng):
+        """Dropout (train mode only) on the attention output, then LayerNorm(Q + A)."""
+        if train and self.dropout_rate > 0:
+            attn = ad.dropout(attn, self.dropout_rate, rng, train=True)
+        return residual_norm(q, attn, self.gain, self.bias, eps=self.eps)
+
+
+class MemoryAttention(_AttentionBlock):
+    """One memory-enhanced attention block: attend, refresh bank, re-attend.
+
+    Eval mode never touches the bank, so inference is a pure function of
+    inputs, parameters, and the stored entries.
+    """
+
+    def __init__(self, embed_dim, heads, capacity, rng, dropout_rate=0.1, eps=1e-5):
+        super().__init__(embed_dim, heads, rng, dropout_rate, eps)
+        self.buffer = MemoryBuffer(capacity, embed_dim)
+
+    def forward(self, z, train=False, rng=None, return_weights=False):
+        """(B, N+1, K) tokens -> (B, N+1, K) block output.
+
+        Train mode performs the FIFO refresh and second attention pass, then
+        applies dropout to the attention output before the residual.
+        """
+        if z.ndim != 3:
+            raise ValueError(f"expected (batch, tokens, width) input, got {z.shape}")
+        batch = z.shape[0]
+        q = ad.matmul(z, self.weights.w_q)
+        k_m, v_m = project_memory(self.buffer, self.weights, batch)
+        attn, first_weights = attend(q, k_m, v_m, self.weights.heads, return_weights=True)
+        if train:
+            update_memory(self.buffer, attn)
+            k_m, v_m = project_memory(self.buffer, self.weights, batch)
+            attn = attend(q, k_m, v_m, self.weights.heads)
+        out = self._residual(q, attn, train, rng)
+        if return_weights:
+            return out, first_weights
+        return out
+
+
+class StandardAttention(_AttentionBlock):
+    """Plain one-pass multi-head self-attention with the same residual norm.
+
+    Keys and values come from the token sequence itself, so the score tensor
+    is B x h x (N+1) x (N+1) and there is no memory state.
+    """
+
     def forward(self, z, train=False, rng=None, return_weights=False):
         if z.ndim != 3:
             raise ValueError(f"expected (batch, tokens, width) input, got {z.shape}")
@@ -215,9 +207,7 @@ class StandardAttention:
         k = ad.matmul(z, self.weights.w_k)
         v = ad.matmul(z, self.weights.w_v)
         attn, weights = attend(q, k, v, self.weights.heads, return_weights=True)
-        if train and self.dropout_rate > 0:
-            attn = ad.dropout(attn, self.dropout_rate, rng, train=True)
-        out = residual_norm(q, attn, self.gain, self.bias, eps=self.eps)
+        out = self._residual(q, attn, train, rng)
         if return_weights:
             return out, weights
         return out

@@ -22,7 +22,6 @@ import numpy as np
 from . import autodiff as ad
 
 __all__ = [
-    "tokenize",
     "tokenize_batch",
     "PatchProjector",
     "SSPEConfig",
@@ -35,34 +34,16 @@ __all__ = [
 
 PE_MODES = ("none", "learnable", "sinusoidal1d", "sspe")
 
-
-def tokenize(window, patch_side):
-    """Split a (W_s, W_s, S) window into the row-major grid of sub-patches.
-
-    Returns ``(tokens, coords)``: tokens is (N, w, w, S) with N = (W_s/w)^2,
-    coords is (N, 2) grid indices (row, col) in enumeration order.
-    """
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 3 or window.shape[0] != window.shape[1]:
-        raise ValueError(f"window must be square (W_s, W_s, S), got {window.shape}")
-    side = window.shape[0]
-    w = int(patch_side)
-    if w < 1 or side % w != 0:
-        raise ValueError(f"patch side {w} must divide the window side {side}")
-    g = side // w
-    tokens = (
-        window.reshape(g, w, g, w, -1).transpose(0, 2, 1, 3, 4).reshape(g * g, w, w, -1)
-    )
-    gx, gy = np.meshgrid(np.arange(g), np.arange(g), indexing="ij")
-    coords = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    return tokens, coords
+# base of every geometric frequency schedule
+WAVELENGTH = 10000.0
 
 
 def tokenize_batch(windows, patch_side):
-    """Vectorized tokenize over a (B, W_s, W_s, S) stack of windows.
+    """Split a (B, W_s, W_s, S) stack of windows into row-major sub-patch grids.
 
-    Returns ``(tokens, coords)`` with tokens (B, N, w, w, S); the coordinate
-    grid is shared by every window.
+    Returns ``(tokens, coords)``: tokens is (B, N, w, w, S) with
+    N = (W_s/w)^2, coords is the (N, 2) grid index (row, col) of each token
+    in enumeration order, shared by every window.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 4 or windows.shape[1] != windows.shape[2]:
@@ -115,40 +96,39 @@ class PatchProjector:
         return {"projector.kernel": self.kernel, "projector.bias": self.bias}
 
 
-def sinusoid_encoding(position, dim, wavelength, sin_dim):
-    """Interleaved sin/cos of a scalar position over dim/2 geometric frequencies.
+def sinusoid_encoding(position, dim, schedule_dim=None):
+    """Interleaved sin/cos of ``position`` over dim/2 geometric frequencies.
 
-    Entry 2j is sin(position / wavelength^(2j/sin_dim)), entry 2j+1 the
-    matching cos.
+    ``position`` is a scalar or an array; the result has shape
+    ``np.shape(position) + (dim,)``. Entry 2j is
+    sin(position / WAVELENGTH^(2j/schedule_dim)), entry 2j+1 the matching
+    cos; ``schedule_dim`` defaults to ``dim``.
     """
     if dim < 2 or dim % 2 != 0:
         raise ValueError(f"encoding dim must be even and >= 2, got {dim}")
+    schedule_dim = dim if schedule_dim is None else schedule_dim
     j = np.arange(dim // 2)
-    angle = position / np.power(float(wavelength), 2.0 * j / float(sin_dim))
-    out = np.empty(dim)
-    out[0::2] = np.sin(angle)
-    out[1::2] = np.cos(angle)
+    angle = np.asarray(position, dtype=np.float64)[..., None] / np.power(
+        WAVELENGTH, 2.0 * j / float(schedule_dim)
+    )
+    out = np.empty(angle.shape[:-1] + (dim,))
+    out[..., 0::2] = np.sin(angle)
+    out[..., 1::2] = np.cos(angle)
     return out
 
 
 class SSPEConfig:
-    """Constants and trainable pieces of the joint spatial-spectral encoding.
+    """Widths and trainable pieces of the joint spatial-spectral encoding.
 
-    Spatial sinusoids use wavelength ``lam``, spectral ones ``gamma``; both
-    share the frequency-schedule denominator ``sin_dim``. The raw spatial
-    (K_s) and spectral (K_sigma) features are projected to K and fused by an
-    affine(2K -> K) + ReLU + affine(K -> K) MLP.
+    Spatial and spectral sinusoids share one frequency schedule over K. The
+    raw spatial (K_s) and spectral (K_sigma) features are projected to K and
+    fused by an affine(2K -> K) + ReLU + affine(K -> K) MLP.
     """
 
-    def __init__(self, embed_dim, rng, lam=10000.0, gamma=10000.0, sin_dim=None):
+    def __init__(self, embed_dim, rng):
         if embed_dim < 1:
             raise ValueError("embed_dim must be >= 1")
-        if min(lam, gamma) <= 0:
-            raise ValueError("wavelengths must be positive")
         self.embed_dim = embed_dim
-        self.lam = float(lam)
-        self.gamma = float(gamma)
-        self.sin_dim = int(sin_dim) if sin_dim is not None else embed_dim
         # x and y halves must each hold whole sin/cos pairs, so the spatial
         # width is K rounded up to a multiple of 4; spectral to a multiple of 2
         self.spatial_dim = 4 * ((embed_dim + 3) // 4)
@@ -172,38 +152,34 @@ class SSPEConfig:
 
 
 def sspe_spatial(x, y, cfg):
-    """K_s-vector: sinusoids of grid x over the first half, of y over the second."""
+    """K_s-vectors: sinusoids of grid x over the first half, of y over the second.
+
+    ``x`` and ``y`` are scalars or arrays of one shape; the result is
+    (..., K_s).
+    """
     half = cfg.spatial_dim // 2
     return np.concatenate(
-        [
-            sinusoid_encoding(float(x), half, cfg.lam, cfg.sin_dim),
-            sinusoid_encoding(float(y), half, cfg.lam, cfg.sin_dim),
-        ]
+        [sinusoid_encoding(x, half, cfg.embed_dim), sinusoid_encoding(y, half, cfg.embed_dim)],
+        axis=-1,
     )
 
 
-def sspe_spectral(band_profile, cfg):
-    """K_sigma-vector: energy-weighted mixture of per-band-index sinusoids.
+def sspe_spectral(profiles, cfg):
+    """K_sigma-vectors: energy-weighted mixtures of per-band-index sinusoids.
 
-    Weights are the profile normalized to sum 1; an all-zero profile falls
-    back to uniform weights.
+    ``profiles`` is (..., S) nonnegative band energies; the result is
+    (..., K_sigma). Weights are each profile normalized to sum 1; an all-zero
+    profile falls back to uniform weights.
     """
-    profile = np.asarray(band_profile, dtype=np.float64)
-    if profile.ndim != 1:
-        raise ValueError(f"band profile must be a vector, got shape {profile.shape}")
-    if (profile < 0).any():
+    profiles = np.asarray(profiles, dtype=np.float64)
+    if profiles.ndim < 1:
+        raise ValueError(f"band profiles need a band axis, got shape {profiles.shape}")
+    if (profiles < 0).any():
         raise ValueError("band profile entries must be >= 0")
-    total = profile.sum()
-    weights = np.full_like(profile, 1.0 / len(profile)) if total == 0 else profile / total
-    table = _band_table(len(profile), cfg)
-    return weights @ table
-
-
-def _band_table(bands, cfg):
-    """(S, K_sigma) sinusoid row per band index."""
-    return np.stack(
-        [sinusoid_encoding(float(s), cfg.spectral_dim, cfg.gamma, cfg.sin_dim) for s in range(bands)]
-    )
+    bands = profiles.shape[-1]
+    totals = profiles.sum(axis=-1, keepdims=True)
+    weights = np.where(totals == 0, 1.0 / bands, profiles / np.where(totals == 0, 1.0, totals))
+    return weights @ sinusoid_encoding(np.arange(bands), cfg.spectral_dim, cfg.embed_dim)
 
 
 class PositionalEmbedding:
@@ -214,7 +190,7 @@ class PositionalEmbedding:
     spectral half depends on each sample's band energies.
     """
 
-    def __init__(self, mode, embed_dim, num_tokens, rng, lam=10000.0, gamma=10000.0):
+    def __init__(self, mode, embed_dim, num_tokens, rng):
         if mode not in PE_MODES:
             raise ValueError(f"unknown positional mode {mode!r}, expected one of {PE_MODES}")
         self.mode = mode
@@ -222,11 +198,18 @@ class PositionalEmbedding:
         self.num_tokens = num_tokens
         self.table = None
         self.sspe = None
+        self.fixed = None
         if mode == "learnable":
             self.table = ad.glorot_uniform(rng, (num_tokens, embed_dim))
         elif mode == "sspe":
-            self.sspe = SSPEConfig(embed_dim, rng, lam=lam, gamma=gamma)
-        self.lam = float(lam)
+            self.sspe = SSPEConfig(embed_dim, rng)
+        else:
+            # none and sinusoidal1d are constant tables, built once
+            self.fixed = np.zeros((num_tokens + 1, embed_dim))
+            if mode == "sinusoidal1d":
+                dim = 2 * ((embed_dim + 1) // 2)
+                self.fixed[1:] = sinusoid_encoding(np.arange(num_tokens), dim)[:, :embed_dim]
+            self.fixed.flags.writeable = False
 
     def parameters(self):
         if self.mode == "learnable":
@@ -244,18 +227,11 @@ class PositionalEmbedding:
         n = self.num_tokens
         if len(coords) != n:
             raise ValueError(f"expected {n} token coordinates, got {len(coords)}")
-        k = self.embed_dim
-        if self.mode == "none":
-            return ad.constant(np.zeros((n + 1, k)))
+        if self.fixed is not None:
+            return ad.constant(self.fixed)
         if self.mode == "learnable":
-            zero = ad.constant(np.zeros((1, k)))
+            zero = ad.constant(np.zeros((1, self.embed_dim)))
             return ad.concat([zero, self.table], axis=0)
-        if self.mode == "sinusoidal1d":
-            dim = 2 * ((k + 1) // 2)
-            rows = np.stack([sinusoid_encoding(float(i), dim, self.lam, dim) for i in range(n)])
-            out = np.zeros((n + 1, k))
-            out[1:] = rows[:, :k]
-            return ad.constant(out)
         return self._forward_sspe(coords, band_profiles)
 
     def _forward_sspe(self, coords, band_profiles):
@@ -266,18 +242,14 @@ class PositionalEmbedding:
         squeeze = profiles.ndim == 2
         if squeeze:
             profiles = profiles[None]
-        b, n, bands = profiles.shape
+        b, n, _ = profiles.shape
         if n != self.num_tokens:
             raise ValueError(f"expected {self.num_tokens} profiles per sample, got {n}")
 
-        spatial = np.stack([sspe_spatial(x, y, cfg) for x, y in coords])
-        table = _band_table(bands, cfg)
-        totals = profiles.sum(axis=-1, keepdims=True)
-        weights = np.where(totals == 0, 1.0 / bands, profiles / np.where(totals == 0, 1.0, totals))
-        spectral = weights @ table
-
+        coords = np.asarray(coords)
+        spatial = sspe_spatial(coords[:, 0], coords[:, 1], cfg)
         spa = ad.matmul(ad.constant(np.broadcast_to(spatial, (b, n, cfg.spatial_dim)).copy()), cfg.proj_spatial)
-        spe = ad.matmul(ad.constant(spectral), cfg.proj_spectral)
+        spe = ad.matmul(ad.constant(sspe_spectral(profiles, cfg)), cfg.proj_spectral)
         joint = ad.concat([spa, spe], axis=-1)
         hidden = ad.relu(ad.affine(joint, cfg.fuse_w1, cfg.fuse_b1))
         rows = ad.affine(hidden, cfg.fuse_w2, cfg.fuse_b2)

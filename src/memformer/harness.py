@@ -191,18 +191,18 @@ def train(model, cube, manifest, cfg):
 
 
 def evaluate(model, cube, part, batch_size=64):
-    """EvalReport over one manifest split (typically test)."""
+    """EvalReport over one manifest split (typically test).
+
+    Only eval-mode forwards run, so memory banks and the dropout stream are
+    left untouched.
+    """
     if len(part) == 0:
         raise ValueError("evaluation split is empty")
     started = time.perf_counter()
-    model.freeze_memory()
-    try:
-        windows, labels = extract_samples(cube, part, model.config.window)
-        if labels.max() >= model.config.classes:
-            raise ValueError("manifest contains a class id beyond the model's class count")
-        logits = _batched_logits(model, windows, batch_size)
-    finally:
-        model.thaw_memory()
+    windows, labels = extract_samples(cube, part, model.config.window)
+    if labels.max() >= model.config.classes:
+        raise ValueError("manifest contains a class id beyond the model's class count")
+    logits = _batched_logits(model, windows, batch_size)
     predicted = np.argmax(logits, axis=1)
     confusion = confusion_matrix(labels, predicted, model.config.classes)
     trainable, non_trainable = model.count_params()

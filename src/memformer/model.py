@@ -156,31 +156,28 @@ class MemFormer:
         params["classifier.bias"] = self.classifier_b
         return params
 
+    def _banks(self):
+        """Record name -> MemoryBuffer, in layer order (empty in standard mode)."""
+        return {
+            f"layer{i}.attn.memory": layer.attn.buffer
+            for i, layer in enumerate(self.layers)
+            if isinstance(layer.attn, MemoryAttention)
+        }
+
     def buffers(self):
         """Name -> memory bank array map (empty in standard mode)."""
-        out = {}
-        for i, layer in enumerate(self.layers):
-            if hasattr(layer.attn, "buffer"):
-                out[f"layer{i}.attn.memory"] = layer.attn.buffer.entries
-        return out
+        return {name: buf.entries for name, buf in self._banks().items()}
 
     def set_buffer(self, name, values):
-        i = int(name.split(".")[0].removeprefix("layer"))
-        buf = self.layers[i].attn.buffer
+        """Overwrite the bank that ``buffers()`` lists under ``name``."""
+        banks = self._banks()
+        if name not in banks:
+            raise ValueError(f"{name!r} is not a memory bank record; expected one of {list(banks)}")
+        buf = banks[name]
         values = np.asarray(values, dtype=np.float64)
         if values.shape != buf.entries.shape:
             raise ValueError(f"{name}: shape {values.shape} != {buf.entries.shape}")
         buf.entries = values.copy()
-
-    def freeze_memory(self):
-        for layer in self.layers:
-            if hasattr(layer.attn, "buffer"):
-                layer.attn.buffer.freeze()
-
-    def thaw_memory(self):
-        for layer in self.layers:
-            if hasattr(layer.attn, "buffer"):
-                layer.attn.buffer.thaw()
 
     def count_params(self):
         """(trainable, non_trainable): parameter census and memory-bank sizes."""

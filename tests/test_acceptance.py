@@ -84,7 +84,6 @@ def test_criterion_1_gradient_fidelity():
         started = time.perf_counter()
         rng = np.random.default_rng(7)
         model = seeded_model(rng)
-        model.freeze_memory()
         x = rng.standard_normal((3, 4, 4, 3))
         y = np.array([0, 1, 0])
 
@@ -324,7 +323,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path):
         rng_state = model.dropout_rng.bit_generator.state
         banks = {name: bank.copy() for name, bank in model.buffers().items()}
         second = model.forward(x, train=False).data
-        # eval-mode forward with frozen memory is a pure function
+        # eval-mode forward is a pure function and never writes a bank
         np.testing.assert_array_equal(first, second)
         assert model.dropout_rng.bit_generator.state == rng_state
         for name, bank in model.buffers().items():

@@ -175,18 +175,6 @@ def test_update_memory_mean_example():
     np.testing.assert_array_equal(buf.entries[-1], [2.0, 4.0])
 
 
-def test_update_memory_frozen_noop():
-    buf = MemoryBuffer(2, 2)
-    buf.entries = np.array([[1.0, 2.0], [3.0, 4.0]])
-    buf.freeze()
-    before = buf.entries.copy()
-    update_memory(buf, np.ones((1, 2, 2)))
-    np.testing.assert_array_equal(buf.entries, before)
-    buf.thaw()
-    update_memory(buf, np.ones((1, 2, 2)))
-    np.testing.assert_array_equal(buf.entries, [[3, 4], [1, 1]])
-
-
 def test_update_memory_replay_oracle():
     rng = np.random.default_rng(7)
     for _ in range(100):

@@ -12,44 +12,48 @@ from memformer.embedding import (
     sinusoid_encoding,
     sspe_spatial,
     sspe_spectral,
-    tokenize,
+    tokenize_batch,
 )
 
 
-# -- tokenize -------------------------------------------------------------
+# -- tokenize_batch ----------------------------------------------------------
 
 
 def test_tokenize_counts():
-    win = np.zeros((14, 14, 3))
-    tokens, coords = tokenize(win, 2)
-    assert tokens.shape == (49, 2, 2, 3)
+    wins = np.zeros((2, 14, 14, 3))
+    tokens, coords = tokenize_batch(wins, 2)
+    assert tokens.shape == (2, 49, 2, 2, 3)
     assert coords.shape == (49, 2)
-    tokens, coords = tokenize(win, 14)
-    assert tokens.shape == (1, 14, 14, 3)
+    tokens, coords = tokenize_batch(wins, 14)
+    assert tokens.shape == (2, 1, 14, 14, 3)
     assert coords.tolist() == [[0, 0]]
 
 
 def test_tokenize_coordinate_order():
-    win = np.zeros((4, 4, 2))
-    _, coords = tokenize(win, 2)
+    wins = np.zeros((1, 4, 4, 2))
+    _, coords = tokenize_batch(wins, 2)
     assert coords.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
 def test_tokenize_is_a_partition():
+    # distinct windows, so a token taken from the wrong window shows up
     rng = np.random.default_rng(0)
-    win = rng.standard_normal((8, 8, 5))
-    tokens, coords = tokenize(win, 2)
-    rebuilt = np.zeros_like(win)
-    for patch, (gx, gy) in zip(tokens, coords):
-        rebuilt[2 * gx : 2 * gx + 2, 2 * gy : 2 * gy + 2] = patch
-    np.testing.assert_array_equal(rebuilt, win)
+    wins = rng.standard_normal((3, 8, 8, 5))
+    tokens, coords = tokenize_batch(wins, 2)
+    for win, patches in zip(wins, tokens):
+        rebuilt = np.zeros_like(win)
+        for patch, (gx, gy) in zip(patches, coords):
+            rebuilt[2 * gx : 2 * gx + 2, 2 * gy : 2 * gy + 2] = patch
+        np.testing.assert_array_equal(rebuilt, win)
 
 
 def test_tokenize_rejects_bad_side():
     with pytest.raises(ValueError):
-        tokenize(np.zeros((14, 14, 3)), 3)
+        tokenize_batch(np.zeros((1, 14, 14, 3)), 3)
     with pytest.raises(ValueError):
-        tokenize(np.zeros((4, 6, 3)), 2)
+        tokenize_batch(np.zeros((1, 4, 6, 3)), 2)
+    with pytest.raises(ValueError):
+        tokenize_batch(np.zeros((14, 14, 3)), 2)
 
 
 # -- patch projection ----------------------------------------------------------
@@ -112,21 +116,36 @@ def test_project_gradients_match_finite_difference():
 
 
 def test_sinusoid_zero_position():
-    enc = sinusoid_encoding(0.0, 8, 10000.0, 8)
+    enc = sinusoid_encoding(0.0, 8)
     np.testing.assert_array_equal(enc[0::2], np.zeros(4))
     np.testing.assert_array_equal(enc[1::2], np.ones(4))
 
 
 def test_sinusoid_frequency_schedule():
     # pair j sits at angle pos / wavelength^(2j/d)
-    enc = sinusoid_encoding(3.0, 4, 10000.0, 4)
+    enc = sinusoid_encoding(3.0, 4)
     np.testing.assert_allclose(enc[2], np.sin(3.0 / 10000.0 ** 0.5), rtol=1e-15)
     np.testing.assert_allclose(enc[3], np.cos(0.03), rtol=1e-15)
     np.testing.assert_allclose(enc[0], np.sin(3.0), rtol=1e-15)
+    # a wider schedule spreads the same pairs over slower frequencies
+    enc = sinusoid_encoding(3.0, 4, 8)
+    np.testing.assert_allclose(enc[2], np.sin(3.0 / 10000.0 ** 0.25), rtol=1e-15)
+
+
+def test_sinusoid_broadcasts_over_positions():
+    positions = np.array([0.0, 1.0, 2.0])
+    table = sinusoid_encoding(positions, 6)
+    assert table.shape == (3, 6)
+    for p, row in zip(positions, table):
+        np.testing.assert_array_equal(row, sinusoid_encoding(float(p), 6))
+    grid = sinusoid_encoding(np.arange(12.0).reshape(3, 4), 8, 16)
+    assert grid.shape == (3, 4, 8)
+    for p in range(12):
+        np.testing.assert_array_equal(grid[p // 4, p % 4], sinusoid_encoding(float(p), 8, 16))
 
 
 def test_spatial_encoding_layout():
-    cfg = SSPEConfig(8, np.random.default_rng(0), sin_dim=4)
+    cfg = SSPEConfig(8, np.random.default_rng(0))
     vec = sspe_spatial(0, 0, cfg)
     assert vec.shape == (cfg.spatial_dim,)
     np.testing.assert_array_equal(vec[0::2], np.zeros(cfg.spatial_dim // 2))
@@ -134,13 +153,15 @@ def test_spatial_encoding_layout():
     # x occupies the first half, y the second
     vec = sspe_spatial(3, 0, cfg)
     half = cfg.spatial_dim // 2
-    np.testing.assert_allclose(vec[2], np.sin(0.03), rtol=1e-15)
+    np.testing.assert_allclose(vec[2], np.sin(3.0 / 10000.0 ** 0.25), rtol=1e-15)
     np.testing.assert_array_equal(vec[half + 0 :: 2][: half // 2], np.zeros(half // 2))
 
 
 def test_spatial_encoding_injective_on_grid():
     cfg = SSPEConfig(16, np.random.default_rng(0))
     rows = np.stack([sspe_spatial(x, y, cfg) for x in range(7) for y in range(7)])
+    xs, ys = np.meshgrid(np.arange(7), np.arange(7), indexing="ij")
+    np.testing.assert_array_equal(sspe_spatial(xs.ravel(), ys.ravel(), cfg), rows)
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             assert np.linalg.norm(rows[i] - rows[j]) > 1e-9
@@ -159,11 +180,22 @@ def test_spectral_encoding_one_hot_and_uniform():
 
 
 def test_spectral_encoding_two_band_mixture():
-    cfg = SSPEConfig(8, np.random.default_rng(0), sin_dim=4)
+    cfg = SSPEConfig(8, np.random.default_rng(0))
     got = sspe_spectral(np.array([1.0, 1.0]), cfg)
-    e0 = sinusoid_encoding(0.0, cfg.spectral_dim, cfg.gamma, 4)
-    e1 = sinusoid_encoding(1.0, cfg.spectral_dim, cfg.gamma, 4)
+    e0 = sinusoid_encoding(0.0, cfg.spectral_dim, cfg.embed_dim)
+    e1 = sinusoid_encoding(1.0, cfg.spectral_dim, cfg.embed_dim)
     np.testing.assert_allclose(got, 0.5 * e0 + 0.5 * e1, rtol=1e-12)
+
+
+def test_spectral_encoding_broadcasts_over_profiles():
+    cfg = SSPEConfig(6, np.random.default_rng(0))
+    profiles = np.abs(np.random.default_rng(1).standard_normal((2, 3, 5)))
+    profiles[1, 2] = 0.0
+    got = sspe_spectral(profiles, cfg)
+    assert got.shape == (2, 3, cfg.spectral_dim)
+    for i in range(2):
+        for j in range(3):
+            np.testing.assert_allclose(got[i, j], sspe_spectral(profiles[i, j], cfg), rtol=1e-14)
 
 
 def test_spectral_encoding_rejects_negative():
@@ -184,9 +216,9 @@ def test_sspe_dims_round_up_for_odd_embed():
 
 def _fixture(mode, rng=None):
     rng = rng or np.random.default_rng(7)
-    win = rng.standard_normal((4, 4, 3))
-    tokens, coords = tokenize(win, 2)
-    profiles = np.abs(tokens).mean(axis=(1, 2))[None]
+    win = rng.standard_normal((1, 4, 4, 3))
+    tokens, coords = tokenize_batch(win, 2)
+    profiles = np.abs(tokens).mean(axis=(2, 3))
     pe = PositionalEmbedding(mode, embed_dim=6, num_tokens=4, rng=rng)
     return pe, coords, profiles
 

@@ -157,6 +157,11 @@ def test_evaluate_rejects_empty_split(scene):
 def test_evaluate_is_pure(scene):
     cube, _, manifest = scene
     model = MemFormer(tiny_model_config(dropout=0.3))
+    # all-zero banks are a fixed point of the FIFO update, so seed them
+    # non-zero or a bank write would go unseen
+    rng = np.random.default_rng(11)
+    for name, bank in model.buffers().items():
+        model.set_buffer(name, 0.5 * rng.standard_normal(bank.shape))
     rng_before = model.dropout_rng.bit_generator.state
     banks_before = {name: bank.copy() for name, bank in model.buffers().items()}
     first = evaluate(model, cube, manifest.test)

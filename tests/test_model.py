@@ -1,5 +1,7 @@
 """Full-model assembly: forward contract, census, checkpoints, gradients."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,26 @@ def test_train_forward_updates_each_layer_bank():
     for name in before:
         assert not np.array_equal(before[name], after[name]), name
         np.testing.assert_array_equal(before[name][1:], after[name][:-1])
+
+
+def test_set_buffer_accepts_only_bank_records():
+    cfg = _tiny_config(layers=2)
+    model = MemFormer(cfg)
+    assert list(model.buffers()) == ["layer0.attn.memory", "layer1.attn.memory"]
+    before = {name: buf.copy() for name, buf in model.buffers().items()}
+    values = np.ones((cfg.memory, cfg.embed))
+    for name in ("layer0.ffn_w1", "layer-1.attn.memory", "layer2.attn.memory", "layer0", "cls"):
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            model.set_buffer(name, values)
+    for name, buf in model.buffers().items():
+        np.testing.assert_array_equal(buf, before[name], err_msg=name)
+    model.set_buffer("layer1.attn.memory", values)
+    np.testing.assert_array_equal(model.buffers()["layer1.attn.memory"], values)
+    np.testing.assert_array_equal(model.buffers()["layer0.attn.memory"], before["layer0.attn.memory"])
+
+    standard = MemFormer(_tiny_config(attention="standard"))
+    with pytest.raises(ValueError, match="'layer0.attn.memory'"):
+        standard.set_buffer("layer0.attn.memory", values)
 
 
 # -- checkpoints ------------------------------------------------------------------
