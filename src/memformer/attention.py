@@ -1,4 +1,4 @@
-"""Memory-conditioned attention with a FIFO buffer, plus a standard
+"""Memory-conditioned attention over a FIFO bank, plus a standard
 self-attention baseline for ablations.
 
 The memory block attends each token against a fixed-capacity bank of M_len
@@ -8,8 +8,9 @@ refreshed mid-forward: the first pass's output is averaged over batch and
 tokens into one new entry, the oldest entry is dropped, and attention is
 recomputed against the updated bank before the residual.
 
-The buffer is plain numpy, never a graph node: updates are detached by
-construction and no gradient can reach stored entries.
+The bank is a plain (M_len, K) numpy array held by the block, oldest row
+first, never a graph node: updates are detached by construction and no
+gradient can reach stored entries.
 
 Note that the all-zero initial bank is a fixed point of the update rule:
 zero entries give zero-valued attention output everywhere, and the mean of
@@ -28,8 +29,6 @@ import numpy as np
 from . import autodiff as ad
 
 __all__ = [
-    "MemoryBuffer",
-    "AttentionWeights",
     "project_memory",
     "attend",
     "residual_norm",
@@ -39,47 +38,21 @@ __all__ = [
 ]
 
 
-class MemoryBuffer:
-    """Fixed-capacity FIFO bank of embedding rows, oldest first."""
-
-    def __init__(self, capacity, width):
-        if capacity < 1 or width < 1:
-            raise ValueError(f"capacity and width must be >= 1, got {capacity}, {width}")
-        self.capacity = capacity
-        self.width = width
-        self.entries = np.zeros((capacity, width))
-
-
-class AttentionWeights:
-    """The three K x K projections shared by both attention variants."""
-
-    def __init__(self, embed_dim, heads, rng):
-        if heads < 1 or embed_dim % heads != 0:
-            raise ValueError(f"head count {heads} must divide embed dim {embed_dim}")
-        self.embed_dim = embed_dim
-        self.heads = heads
-        self.w_q = ad.glorot_uniform(rng, (embed_dim, embed_dim))
-        self.w_k = ad.glorot_uniform(rng, (embed_dim, embed_dim))
-        self.w_v = ad.glorot_uniform(rng, (embed_dim, embed_dim))
-
-    def parameters(self, prefix):
-        return {f"{prefix}.w_q": self.w_q, f"{prefix}.w_k": self.w_k, f"{prefix}.w_v": self.w_v}
-
-
-def project_memory(buffer, weights, batch):
+def project_memory(bank, w_k, w_v, batch):
     """Tile the bank's key/value projections across the batch.
 
-    Returns (K_m, V_m), each (batch, M_len, K); every batch slice is the
-    same M @ W product.
+    ``bank`` is the (M_len, K) array. Returns (K_m, V_m), each
+    (batch, M_len, K); every batch slice is the same M @ W product.
     """
     if batch < 1:
         raise ValueError(f"batch size must be >= 1, got {batch}")
-    if buffer.width != weights.embed_dim:
-        raise ValueError(f"buffer width {buffer.width} != projection width {weights.embed_dim}")
-    m = ad.constant(buffer.entries)
-    shape = (batch, buffer.capacity, buffer.width)
-    k_m = ad.broadcast_to(ad.matmul(m, weights.w_k), shape)
-    v_m = ad.broadcast_to(ad.matmul(m, weights.w_v), shape)
+    capacity, width = bank.shape
+    if width != w_k.shape[0]:
+        raise ValueError(f"bank width {width} != projection width {w_k.shape[0]}")
+    m = ad.constant(bank)
+    shape = (batch, capacity, width)
+    k_m = ad.broadcast_to(ad.matmul(m, w_k), shape)
+    v_m = ad.broadcast_to(ad.matmul(m, w_v), shape)
     return k_m, v_m
 
 
@@ -115,61 +88,67 @@ def attend(q, k_mem, v_mem, heads, return_weights=False):
     return out
 
 
-def residual_norm(q, attn_out, gain, bias, eps=1e-5):
-    """LayerNorm(Q + A) along the embedding axis."""
-    return ad.layer_norm(ad.add(q, attn_out), gain, bias, eps=eps)
+def residual_norm(x, y, gain, bias, rate=0.0, rng=None, train=False):
+    """LayerNorm(x + y) along the embedding axis, with dropout on ``y`` in train mode."""
+    if train and rate > 0:
+        y = ad.dropout(y, rate, rng, train=True)
+    return ad.layer_norm(ad.add(x, y), gain, bias)
 
 
-def update_memory(buffer, attn_out):
-    """Push the batch-and-token mean of ``attn_out`` into the FIFO bank.
+def update_memory(bank, attn_out):
+    """Return ``bank`` with its oldest row dropped and the batch-and-token
+    mean of ``attn_out`` appended.
 
-    The new entry is raw data, never part of the compute graph.
+    The new bank is a fresh array of raw data, never part of the compute graph.
     """
     data = attn_out.data if isinstance(attn_out, ad.Tensor) else np.asarray(attn_out)
-    if data.ndim != 3 or data.shape[2] != buffer.width:
-        raise ValueError(f"attention output {data.shape} does not match bank width {buffer.width}")
-    new_entry = data.mean(axis=(0, 1))
-    buffer.entries = np.concatenate([buffer.entries[1:], new_entry[None]], axis=0)
-    return buffer
+    width = bank.shape[1]
+    if data.ndim != 3 or data.shape[2] != width:
+        raise ValueError(f"attention output {data.shape} does not match bank width {width}")
+    return np.concatenate([bank[1:], data.mean(axis=(0, 1))[None]], axis=0)
 
 
 class _AttentionBlock:
     """Projections, residual LayerNorm and dropout shared by both blocks.
 
     Subclasses define ``forward``, which differs only in where keys and
-    values come from, and finish it with ``_residual``.
+    values come from, and finish it with ``residual_norm``.
     """
 
-    def __init__(self, embed_dim, heads, rng, dropout_rate=0.1, eps=1e-5):
-        self.weights = AttentionWeights(embed_dim, heads, rng)
+    def __init__(self, embed_dim, heads, rng, dropout_rate=0.1):
+        if heads < 1 or embed_dim % heads != 0:
+            raise ValueError(f"head count {heads} must divide embed dim {embed_dim}")
+        self.heads = heads
+        self.w_q = ad.glorot_uniform(rng, (embed_dim, embed_dim))
+        self.w_k = ad.glorot_uniform(rng, (embed_dim, embed_dim))
+        self.w_v = ad.glorot_uniform(rng, (embed_dim, embed_dim))
         self.gain = ad.parameter(np.ones(embed_dim))
         self.bias = ad.parameter(np.zeros(embed_dim))
         self.dropout_rate = dropout_rate
-        self.eps = eps
 
     def parameters(self, prefix):
-        params = self.weights.parameters(prefix)
-        params[f"{prefix}.ln_gain"] = self.gain
-        params[f"{prefix}.ln_bias"] = self.bias
-        return params
-
-    def _residual(self, q, attn, train, rng):
-        """Dropout (train mode only) on the attention output, then LayerNorm(Q + A)."""
-        if train and self.dropout_rate > 0:
-            attn = ad.dropout(attn, self.dropout_rate, rng, train=True)
-        return residual_norm(q, attn, self.gain, self.bias, eps=self.eps)
+        return {
+            f"{prefix}.w_q": self.w_q,
+            f"{prefix}.w_k": self.w_k,
+            f"{prefix}.w_v": self.w_v,
+            f"{prefix}.ln_gain": self.gain,
+            f"{prefix}.ln_bias": self.bias,
+        }
 
 
 class MemoryAttention(_AttentionBlock):
     """One memory-enhanced attention block: attend, refresh bank, re-attend.
 
-    Eval mode never touches the bank, so inference is a pure function of
-    inputs, parameters, and the stored entries.
+    ``memory`` is the (M_len, K) bank. Eval mode never touches it, so
+    inference is a pure function of inputs, parameters, and the stored
+    entries.
     """
 
-    def __init__(self, embed_dim, heads, capacity, rng, dropout_rate=0.1, eps=1e-5):
-        super().__init__(embed_dim, heads, rng, dropout_rate, eps)
-        self.buffer = MemoryBuffer(capacity, embed_dim)
+    def __init__(self, embed_dim, heads, capacity, rng, dropout_rate=0.1):
+        if capacity < 1 or embed_dim < 1:
+            raise ValueError(f"capacity and width must be >= 1, got {capacity}, {embed_dim}")
+        super().__init__(embed_dim, heads, rng, dropout_rate)
+        self.memory = np.zeros((capacity, embed_dim))
 
     def forward(self, z, train=False, rng=None, return_weights=False):
         """(B, N+1, K) tokens -> (B, N+1, K) block output.
@@ -180,14 +159,14 @@ class MemoryAttention(_AttentionBlock):
         if z.ndim != 3:
             raise ValueError(f"expected (batch, tokens, width) input, got {z.shape}")
         batch = z.shape[0]
-        q = ad.matmul(z, self.weights.w_q)
-        k_m, v_m = project_memory(self.buffer, self.weights, batch)
-        attn, first_weights = attend(q, k_m, v_m, self.weights.heads, return_weights=True)
+        q = ad.matmul(z, self.w_q)
+        k_m, v_m = project_memory(self.memory, self.w_k, self.w_v, batch)
+        attn, first_weights = attend(q, k_m, v_m, self.heads, return_weights=True)
         if train:
-            update_memory(self.buffer, attn)
-            k_m, v_m = project_memory(self.buffer, self.weights, batch)
-            attn = attend(q, k_m, v_m, self.weights.heads)
-        out = self._residual(q, attn, train, rng)
+            self.memory = update_memory(self.memory, attn)
+            k_m, v_m = project_memory(self.memory, self.w_k, self.w_v, batch)
+            attn = attend(q, k_m, v_m, self.heads)
+        out = residual_norm(q, attn, self.gain, self.bias, self.dropout_rate, rng, train)
         if return_weights:
             return out, first_weights
         return out
@@ -203,11 +182,11 @@ class StandardAttention(_AttentionBlock):
     def forward(self, z, train=False, rng=None, return_weights=False):
         if z.ndim != 3:
             raise ValueError(f"expected (batch, tokens, width) input, got {z.shape}")
-        q = ad.matmul(z, self.weights.w_q)
-        k = ad.matmul(z, self.weights.w_k)
-        v = ad.matmul(z, self.weights.w_v)
-        attn, weights = attend(q, k, v, self.weights.heads, return_weights=True)
-        out = self._residual(q, attn, train, rng)
+        q = ad.matmul(z, self.w_q)
+        k = ad.matmul(z, self.w_k)
+        v = ad.matmul(z, self.w_v)
+        attn, weights = attend(q, k, v, self.heads, return_weights=True)
+        out = residual_norm(q, attn, self.gain, self.bias, self.dropout_rate, rng, train)
         if return_weights:
             return out, weights
         return out

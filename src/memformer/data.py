@@ -284,6 +284,8 @@ class SplitManifest:
 
 def _as_triples(arr, name):
     arr = np.asarray(arr, dtype=np.int64).reshape(-1, 3)
+    if len(arr) and (arr[:, :2] < 0).any():
+        raise ValueError(f"{name} split contains a negative row or column")
     if len(arr) and (arr[:, 2] < 1).any():
         raise ValueError(f"{name} split contains an unlabeled pixel (class 0)")
     return arr
@@ -360,6 +362,8 @@ def load_manifest(path):
             triple = tuple(int(x) for x in fields[1:])
         except ValueError:
             raise FormatError(f"{path}: line {lineno}: non-integer field in {line!r}") from None
+        if min(triple[:2]) < 0:
+            raise FormatError(f"{path}: line {lineno}: negative row or column in {line!r}")
         parts[fields[0]].append(triple)
     arrays = {k: np.array(v, dtype=np.int64).reshape(-1, 3) for k, v in parts.items()}
     return SplitManifest(train=arrays["train"], val=arrays["val"], test=arrays["test"])

@@ -239,9 +239,8 @@ class PositionalEmbedding:
         if band_profiles is None:
             raise ValueError("sspe mode needs per-token band profiles")
         profiles = np.asarray(band_profiles, dtype=np.float64)
-        squeeze = profiles.ndim == 2
-        if squeeze:
-            profiles = profiles[None]
+        if profiles.ndim != 3:
+            raise ValueError(f"sspe band profiles must be (batch, tokens, bands), got shape {profiles.shape}")
         b, n, _ = profiles.shape
         if n != self.num_tokens:
             raise ValueError(f"expected {self.num_tokens} profiles per sample, got {n}")
@@ -254,7 +253,4 @@ class PositionalEmbedding:
         hidden = ad.relu(ad.affine(joint, cfg.fuse_w1, cfg.fuse_b1))
         rows = ad.affine(hidden, cfg.fuse_w2, cfg.fuse_b2)
         zero = ad.constant(np.zeros((b, 1, self.embed_dim)))
-        out = ad.concat([zero, rows], axis=1)
-        if squeeze:
-            out = ad.reshape(out, (n + 1, self.embed_dim))
-        return out
+        return ad.concat([zero, rows], axis=1)

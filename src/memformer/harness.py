@@ -232,19 +232,18 @@ def _run_trial(cube, manifest, model_cfg, train_cfg):
     model = MemFormer(model_cfg)
     result = train(model, cube, manifest, train_cfg)
     report = evaluate(model, cube, manifest.test, batch_size=train_cfg.batch_size)
-    return model, result, report
+    return result, report
 
 
 def _trial_row(key, value, cube, manifest, model_cfg, train_cfg, exclude):
-    model, result, report = _run_trial(cube, manifest, model_cfg, train_cfg)
-    trainable, non_trainable = model.count_params()
+    result, report = _run_trial(cube, manifest, model_cfg, train_cfg)
     return {
         key: value,
         "oa": report.oa,
         "aa": report.aa,
         "kappa": report.kappa,
-        "trainable_params": trainable,
-        "non_trainable_params": non_trainable,
+        "trainable_params": report.trainable_params,
+        "non_trainable_params": report.non_trainable_params,
         "best_epoch": result.best_epoch,
         "train_seconds": round(result.seconds, 3),
         "manifest_sha256": manifest_sha256(manifest),

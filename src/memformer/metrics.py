@@ -8,7 +8,7 @@ degenerate p_e = 1 case scored 1 for perfect agreement and 0 otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,7 +100,6 @@ class EvalReport:
     trainable_params: int = 0
     non_trainable_params: int = 0
     seconds: float = 0.0
-    extra: dict = field(default_factory=dict)
 
     @classmethod
     def from_confusion(cls, confusion, **meta):

@@ -20,6 +20,7 @@ overwrites every tensor, so a round trip is bit identity.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .attention import MemoryAttention, StandardAttention
+from .attention import MemoryAttention, StandardAttention, residual_norm
 from .embedding import PE_MODES, PatchProjector, PositionalEmbedding, tokenize_batch
 
 __all__ = [
@@ -109,10 +110,7 @@ class _EncoderLayer:
 
     def forward(self, z, train, rng):
         a = self.attn.forward(z, train=train, rng=rng)
-        f = self.ffn(a)
-        if train and self.dropout > 0:
-            f = ad.dropout(f, self.dropout, rng, train=True)
-        return ad.layer_norm(ad.add(a, f), self.ln_gain, self.ln_bias)
+        return residual_norm(a, self.ffn(a), self.ln_gain, self.ln_bias, self.dropout, rng, train)
 
     def parameters(self, prefix):
         params = self.attn.parameters(f"{prefix}.attn")
@@ -157,27 +155,27 @@ class MemFormer:
         return params
 
     def _banks(self):
-        """Record name -> MemoryBuffer, in layer order (empty in standard mode)."""
+        """Record name -> memory attention block, in layer order (empty in standard mode)."""
         return {
-            f"layer{i}.attn.memory": layer.attn.buffer
+            f"layer{i}.attn.memory": layer.attn
             for i, layer in enumerate(self.layers)
             if isinstance(layer.attn, MemoryAttention)
         }
 
     def buffers(self):
         """Name -> memory bank array map (empty in standard mode)."""
-        return {name: buf.entries for name, buf in self._banks().items()}
+        return {name: attn.memory for name, attn in self._banks().items()}
 
     def set_buffer(self, name, values):
         """Overwrite the bank that ``buffers()`` lists under ``name``."""
         banks = self._banks()
         if name not in banks:
             raise ValueError(f"{name!r} is not a memory bank record; expected one of {list(banks)}")
-        buf = banks[name]
+        attn = banks[name]
         values = np.asarray(values, dtype=np.float64)
-        if values.shape != buf.entries.shape:
-            raise ValueError(f"{name}: shape {values.shape} != {buf.entries.shape}")
-        buf.entries = values.copy()
+        if values.shape != attn.memory.shape:
+            raise ValueError(f"{name}: shape {values.shape} != {attn.memory.shape}")
+        attn.memory = values.copy()
 
     def count_params(self):
         """(trainable, non_trainable): parameter census and memory-bank sizes."""
@@ -277,6 +275,7 @@ def load_checkpoint(path, expect=None):
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: version mismatch: file has {version}, expected {CHECKPOINT_VERSION}")
 
+    config_at = offset
     raw, offset = _take(data, offset, 9 * 4 + 8 + 2 + 8, path, "config block")
     ints = struct.unpack_from("<9I", raw, 0)
     dropout = struct.unpack_from("<d", raw, 36)[0]
@@ -286,13 +285,16 @@ def load_checkpoint(path, expect=None):
         raise CheckpointError(f"{path}: unknown pe_mode index {pe_idx}")
     if attn_idx >= len(ATTENTION_MODES):
         raise CheckpointError(f"{path}: unknown attention index {attn_idx}")
-    cfg = ModelConfig(
-        **dict(zip(_CONFIG_INTS, ints)),
-        dropout=dropout,
-        pe_mode=PE_MODES[pe_idx],
-        attention=ATTENTION_MODES[attn_idx],
-        seed=seed,
-    )
+    try:
+        cfg = ModelConfig(
+            **dict(zip(_CONFIG_INTS, ints)),
+            dropout=dropout,
+            pe_mode=PE_MODES[pe_idx],
+            attention=ATTENTION_MODES[attn_idx],
+            seed=seed,
+        )
+    except ValueError as e:
+        raise CheckpointError(f"{path}: invalid config block at byte {config_at}: {e}") from None
 
     if expect is not None:
         for f in fields(ModelConfig):
@@ -304,17 +306,27 @@ def load_checkpoint(path, expect=None):
 
     records = {}
     while offset < len(data):
+        start = offset
         raw, offset = _take(data, offset, 2, path, "record name length")
         name_len = struct.unpack("<H", raw)[0]
         raw, offset = _take(data, offset, name_len, path, "record name")
-        name = raw.decode()
+        try:
+            name = raw.decode()
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: record name at byte {offset - name_len} is not valid UTF-8") from None
+        if name in records:
+            raise CheckpointError(f"{path}: duplicate record {name!r} at byte {start}")
         raw, offset = _take(data, offset, 1, path, f"rank of {name!r}")
         rank = raw[0]
         raw, offset = _take(data, offset, 4 * rank, path, f"extents of {name!r}")
         shape = struct.unpack(f"<{rank}I", raw)
-        count = int(np.prod(shape)) if rank else 1
+        # Python integers: a numpy product of large extents can wrap to 0
+        count = math.prod(shape)
         raw, offset = _take(data, offset, 8 * count, path, f"data of {name!r}")
-        records[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        values = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: record {name!r} at byte {start} holds non-finite values")
+        records[name] = values
 
     model = MemFormer(cfg)
     expected = {name: p.data.shape for name, p in model.parameters().items()}

@@ -11,9 +11,7 @@ import pytest
 
 from memformer import autodiff as ad
 from memformer.attention import (
-    AttentionWeights,
     MemoryAttention,
-    MemoryBuffer,
     attend,
     project_memory,
     update_memory,
@@ -125,13 +123,13 @@ def test_criterion_2_attention_oracle():
         # single-head memory attention, B=1, two tokens, width 2, capacity 2
         module = MemoryAttention(2, 1, 2, rng, dropout_rate=0.0)
         bank = rng.standard_normal((2, 2))
-        module.buffer.entries = bank.copy()
+        module.memory = bank.copy()
         z = rng.standard_normal((1, 2, 2))
         out = module.forward(ad.constant(z), train=True)
 
-        wq = module.weights.w_q.data
-        wk = module.weights.w_k.data
-        wv = module.weights.w_v.data
+        wq = module.w_q.data
+        wk = module.w_k.data
+        wv = module.w_v.data
         q = z @ wq
         # pass 1 on the pre-update bank
         w1 = _softmax_rows_ref(q @ (bank @ wk).T / np.sqrt(2.0))
@@ -144,7 +142,7 @@ def test_criterion_2_attention_oracle():
         a2 = w2 @ (bank2 @ wv)
         expected = _layer_norm_ref(q + a2)
         assert np.abs(out.data - expected).max() <= 1e-12
-        assert np.abs(module.buffer.entries - bank2).max() <= 1e-12
+        assert np.abs(module.memory - bank2).max() <= 1e-12
 
         # standard attention on 3 tokens vs naive softmax(QK^T/sqrt(K))V
         q3 = ad.constant(rng.standard_normal((1, 3, 2)))
@@ -161,34 +159,34 @@ def test_criterion_3_fifo_suite():
         for _ in range(1000):
             capacity = int(rng.integers(1, 7))
             width = int(rng.integers(1, 7))
-            buffer = MemoryBuffer(capacity, width)
+            bank = np.zeros((capacity, width))
 
             # zero-initialized memory attends uniformly on the first pass
-            attn_weights = AttentionWeights(width, 1, rng)
+            w_q, w_k, w_v = (ad.glorot_uniform(rng, (width, width)) for _ in range(3))
             q = ad.constant(rng.standard_normal((1, 2, width)))
-            k_mem, v_mem = project_memory(buffer, attn_weights, batch=1)
-            _, first_pass = attend(ad.matmul(q, attn_weights.w_q), k_mem, v_mem, 1, return_weights=True)
+            k_mem, v_mem = project_memory(bank, w_k, w_v, batch=1)
+            _, first_pass = attend(ad.matmul(q, w_q), k_mem, v_mem, 1, return_weights=True)
             assert np.abs(first_pass.data - 1.0 / capacity).max() <= 1e-12
 
-            reference = [row.copy() for row in buffer.entries]
+            reference = [row.copy() for row in bank]
             for _ in range(int(rng.integers(1, 5))):
                 attn = ad.Tensor(
                     rng.standard_normal((2, 3, width)), requires_grad=True
                 )
-                previous = buffer.entries.copy()
-                update_memory(buffer, attn)
-                assert buffer.entries.shape == (capacity, width)
+                previous = bank.copy()
+                bank = update_memory(bank, attn)
+                assert bank.shape == (capacity, width)
                 # rows shift by exactly one
-                np.testing.assert_array_equal(buffer.entries[:-1], previous[1:])
+                np.testing.assert_array_equal(bank[:-1], previous[1:])
                 np.testing.assert_array_equal(
-                    buffer.entries[-1], attn.data.mean(axis=(0, 1))
+                    bank[-1], attn.data.mean(axis=(0, 1))
                 )
                 reference = reference[1:] + [attn.data.mean(axis=(0, 1))]
-                np.testing.assert_array_equal(buffer.entries, np.stack(reference))
-                # buffer never joins the gradient graph
-                assert isinstance(buffer.entries, np.ndarray)
-                assert not isinstance(buffer.entries, ad.Tensor)
-                assert not np.shares_memory(buffer.entries, attn.data)
+                np.testing.assert_array_equal(bank, np.stack(reference))
+                # the bank never joins the gradient graph
+                assert isinstance(bank, np.ndarray)
+                assert not isinstance(bank, ad.Tensor)
+                assert not np.shares_memory(bank, attn.data)
 
 
 def test_criterion_4_metric_oracle():

@@ -10,9 +10,7 @@ import pytest
 
 from memformer import autodiff as ad
 from memformer.attention import (
-    AttentionWeights,
     MemoryAttention,
-    MemoryBuffer,
     StandardAttention,
     attend,
     project_memory,
@@ -37,25 +35,24 @@ def _layer_norm(x, eps=1e-5):
 
 def test_project_memory_zero_buffer():
     rng = np.random.default_rng(0)
-    weights = AttentionWeights(4, 2, rng)
-    buf = MemoryBuffer(3, 4)
-    k_m, v_m = project_memory(buf, weights, batch=2)
+    w_q, w_k, w_v = (ad.glorot_uniform(rng, (4, 4)) for _ in range(3))
+    bank = np.zeros((3, 4))
+    k_m, v_m = project_memory(bank, w_k, w_v, batch=2)
     np.testing.assert_array_equal(k_m.data, np.zeros((2, 3, 4)))
     np.testing.assert_array_equal(v_m.data, np.zeros((2, 3, 4)))
 
 
 def test_project_memory_identity_and_tiling():
     rng = np.random.default_rng(1)
-    weights = AttentionWeights(4, 1, rng)
-    weights.w_k.data[:] = np.eye(4)
-    buf = MemoryBuffer(3, 4)
-    buf.entries = rng.standard_normal((3, 4))
-    k_m, v_m = project_memory(buf, weights, batch=3)
+    w_q, w_k, w_v = (ad.glorot_uniform(rng, (4, 4)) for _ in range(3))
+    w_k.data[:] = np.eye(4)
+    bank = rng.standard_normal((3, 4))
+    k_m, v_m = project_memory(bank, w_k, w_v, batch=3)
     for b in range(3):
-        np.testing.assert_array_equal(k_m.data[b], buf.entries)
+        np.testing.assert_array_equal(k_m.data[b], bank)
         np.testing.assert_array_equal(v_m.data[b], v_m.data[0])
     with pytest.raises(ValueError):
-        project_memory(buf, weights, batch=0)
+        project_memory(bank, w_k, w_v, batch=0)
 
 
 # -- attend -------------------------------------------------------------------
@@ -161,18 +158,17 @@ def test_residual_norm_statistics():
 
 
 def test_update_memory_fifo_order():
-    buf = MemoryBuffer(3, 2)
-    buf.entries = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    bank = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     a = np.full((2, 4, 2), 7.0)
-    update_memory(buf, a)
-    np.testing.assert_array_equal(buf.entries, [[1, 1], [2, 2], [7, 7]])
+    bank = update_memory(bank, a)
+    np.testing.assert_array_equal(bank, [[1, 1], [2, 2], [7, 7]])
 
 
 def test_update_memory_mean_example():
-    buf = MemoryBuffer(2, 2)
+    bank = np.zeros((2, 2))
     a = np.array([[[1.0, 3.0], [3.0, 5.0]]])
-    update_memory(buf, a)
-    np.testing.assert_array_equal(buf.entries[-1], [2.0, 4.0])
+    bank = update_memory(bank, a)
+    np.testing.assert_array_equal(bank[-1], [2.0, 4.0])
 
 
 def test_update_memory_replay_oracle():
@@ -180,14 +176,14 @@ def test_update_memory_replay_oracle():
     for _ in range(100):
         cap = int(rng.integers(1, 6))
         width = int(rng.integers(1, 5))
-        buf = MemoryBuffer(cap, width)
-        history = [row.copy() for row in buf.entries]
+        bank = np.zeros((cap, width))
+        history = [row.copy() for row in bank]
         for _ in range(int(rng.integers(1, 3 * cap + 2))):
             a = rng.standard_normal((int(rng.integers(1, 4)), int(rng.integers(1, 5)), width))
-            update_memory(buf, a)
+            bank = update_memory(bank, a)
             history.append(a.mean(axis=(0, 1)))
-            assert buf.entries.shape == (cap, width)
-        np.testing.assert_allclose(buf.entries, np.stack(history[-cap:]), rtol=0, atol=1e-15)
+            assert bank.shape == (cap, width)
+        np.testing.assert_allclose(bank, np.stack(history[-cap:]), rtol=0, atol=1e-15)
 
 
 # -- memory attention block ---------------------------------------------------------
@@ -196,13 +192,13 @@ def test_update_memory_replay_oracle():
 def test_eval_forward_deterministic_and_frozen():
     rng = np.random.default_rng(8)
     block = MemoryAttention(embed_dim=4, heads=2, capacity=3, rng=rng)
-    block.buffer.entries = rng.standard_normal((3, 4))
-    before = block.buffer.entries.copy()
+    block.memory = rng.standard_normal((3, 4))
+    before = block.memory.copy()
     z = ad.constant(rng.standard_normal((2, 5, 4)))
     a = block.forward(z, train=False)
     b = block.forward(z, train=False)
     np.testing.assert_array_equal(a.data, b.data)
-    np.testing.assert_array_equal(block.buffer.entries, before)
+    np.testing.assert_array_equal(block.memory, before)
 
 
 def test_train_forward_two_pass_hand_oracle():
@@ -211,11 +207,11 @@ def test_train_forward_two_pass_hand_oracle():
     w_q = np.array([[0.8, -0.2], [0.3, 1.1]])
     w_k = np.array([[0.5, 0.4], [-0.7, 0.9]])
     w_v = np.array([[1.2, 0.1], [0.0, -0.5]])
-    block.weights.w_q.data[:] = w_q
-    block.weights.w_k.data[:] = w_k
-    block.weights.w_v.data[:] = w_v
+    block.w_q.data[:] = w_q
+    block.w_k.data[:] = w_k
+    block.w_v.data[:] = w_v
     m0 = np.array([[0.4, -0.6], [1.0, 0.3]])
-    block.buffer.entries = m0.copy()
+    block.memory = m0.copy()
     z = np.array([[[0.2, -1.0], [0.9, 0.5]]])
 
     # replay the block step by step in plain numpy
@@ -228,18 +224,18 @@ def test_train_forward_two_pass_hand_oracle():
 
     out = block.forward(ad.constant(z), train=True)
     np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(block.buffer.entries, m1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(block.memory, m1, rtol=0, atol=1e-12)
 
 
 def test_train_capacity_one_second_pass_uses_fresh_entry():
     rng = np.random.default_rng(10)
     block = MemoryAttention(embed_dim=4, heads=1, capacity=1, rng=rng, dropout_rate=0.0)
-    block.buffer.entries = rng.standard_normal((1, 4))
+    block.memory = rng.standard_normal((1, 4))
     z = ad.constant(rng.standard_normal((1, 3, 4)))
     out = block.forward(z, train=True)
     # with a single entry the second attention output is exactly m_new @ W_V
-    q = z.data @ block.weights.w_q.data
-    fresh = block.buffer.entries[0] @ block.weights.w_v.data
+    q = z.data @ block.w_q.data
+    fresh = block.memory[0] @ block.w_v.data
     want = _layer_norm(q + fresh)
     np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
 
@@ -255,12 +251,12 @@ def test_zero_memory_first_pass_weights_uniform():
 def test_no_gradient_reaches_buffer_but_projections_train():
     rng = np.random.default_rng(12)
     block = MemoryAttention(embed_dim=4, heads=2, capacity=3, rng=rng, dropout_rate=0.0)
-    block.buffer.entries = rng.standard_normal((3, 4))
+    block.memory = rng.standard_normal((3, 4))
     z = ad.constant(rng.standard_normal((2, 5, 4)))
     block.forward(z, train=True).sum().backward()
     # the bank lives outside the graph entirely
-    assert isinstance(block.buffer.entries, np.ndarray)
-    assert not isinstance(block.buffer.entries, ad.Tensor)
+    assert isinstance(block.memory, np.ndarray)
+    assert not isinstance(block.memory, ad.Tensor)
     for name, p in block.parameters("blk").items():
         assert p.grad is not None, name
         assert np.abs(p.grad).max() > 0, name
@@ -269,7 +265,7 @@ def test_no_gradient_reaches_buffer_but_projections_train():
 def test_memory_block_gradients_match_finite_difference():
     rng = np.random.default_rng(13)
     block = MemoryAttention(embed_dim=4, heads=2, capacity=3, rng=rng, dropout_rate=0.0)
-    block.buffer.entries = rng.standard_normal((3, 4))
+    block.memory = rng.standard_normal((3, 4))
     z = ad.constant(rng.standard_normal((1, 3, 4)))
     v = rng.standard_normal((1, 3, 4))
 
@@ -285,10 +281,10 @@ def test_memory_block_gradients_match_finite_difference():
 def test_train_dropout_consumes_rng():
     rng = np.random.default_rng(14)
     block = MemoryAttention(embed_dim=4, heads=2, capacity=3, rng=rng, dropout_rate=0.5)
-    block.buffer.entries = rng.standard_normal((3, 4))
+    block.memory = rng.standard_normal((3, 4))
     z = ad.constant(rng.standard_normal((2, 5, 4)))
     a = block.forward(z, train=True, rng=np.random.default_rng(0)).data
-    block.buffer.entries = block.buffer.entries  # state already advanced; compare variance only
+    block.memory = block.memory  # state already advanced; compare variance only
     b = block.forward(z, train=True, rng=np.random.default_rng(99)).data
     assert not np.array_equal(a, b)
 
@@ -302,8 +298,8 @@ def test_standard_single_token():
     z = ad.constant(rng.standard_normal((2, 1, 4)))
     out, w = block.forward(z, return_weights=True)
     np.testing.assert_array_equal(w.data, np.ones((2, 2, 1, 1)))
-    q = z.data @ block.weights.w_q.data
-    v = z.data @ block.weights.w_v.data
+    q = z.data @ block.w_q.data
+    v = z.data @ block.w_v.data
     np.testing.assert_allclose(out.data, _layer_norm(q + v), rtol=0, atol=1e-12)
 
 
@@ -321,9 +317,9 @@ def test_standard_three_token_hand_oracle():
     w_q = np.array([[1.0, 0.2], [-0.4, 0.9]])
     w_k = np.array([[0.3, -0.8], [0.5, 0.6]])
     w_v = np.array([[0.7, 0.0], [-0.1, 1.3]])
-    block.weights.w_q.data[:] = w_q
-    block.weights.w_k.data[:] = w_k
-    block.weights.w_v.data[:] = w_v
+    block.w_q.data[:] = w_q
+    block.w_k.data[:] = w_k
+    block.w_v.data[:] = w_v
     z = np.array([[[0.5, -0.2], [1.1, 0.8], [-0.9, 0.4]]])
     q, k, v = z @ w_q, z @ w_k, z @ w_v
     want = _layer_norm(q + _softmax(q @ k.transpose(0, 2, 1) / np.sqrt(2.0)) @ v)
@@ -333,4 +329,4 @@ def test_standard_three_token_hand_oracle():
 
 def test_standard_has_no_memory_state():
     block = StandardAttention(embed_dim=4, heads=2, rng=np.random.default_rng(18))
-    assert not hasattr(block, "buffer")
+    assert not hasattr(block, "memory")

@@ -360,6 +360,21 @@ def test_manifest_rejects_malformed_lines(tmp_path):
         load_manifest(path)
 
 
+def test_manifest_rejects_negative_coordinates(tmp_path):
+    from memformer.data import SplitManifest
+
+    path = tmp_path / "negative.txt"
+    path.write_text("train,-1,0,1\n")
+    with pytest.raises(FormatError, match="line 1"):
+        load_manifest(path)
+    path.write_text("train,0,0,1\ntest,0,-2,1\n")
+    with pytest.raises(FormatError, match="line 2"):
+        load_manifest(path)
+    for row in ([-1, 0, 1], [0, -2, 1]):
+        with pytest.raises(ValueError, match="negative"):
+            SplitManifest(train=np.array([row]), val=np.zeros((0, 3)), test=np.zeros((0, 3)))
+
+
 def test_manifest_rejects_overlap():
     from memformer.data import SplitManifest
 

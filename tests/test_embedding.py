@@ -265,6 +265,12 @@ def test_all_modes_zero_cls_row():
         np.testing.assert_array_equal(data[0], np.zeros(6))
 
 
+def test_mode_sspe_rejects_unbatched_profiles():
+    pe, coords, profiles = _fixture("sspe")
+    with pytest.raises(ValueError, match=r"\(4, 3\)"):
+        pe.forward(coords, profiles[0])
+
+
 def test_mode_sspe_deterministic_and_data_dependent():
     pe, coords, profiles = _fixture("sspe")
     a = pe.forward(coords, profiles).data

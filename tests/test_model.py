@@ -1,6 +1,8 @@
 """Full-model assembly: forward contract, census, checkpoints, gradients."""
 
 import re
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,7 +119,7 @@ def test_forward_diagnostic_names_layer():
     cfg = _tiny_config(layers=2)
     model = MemFormer(cfg)
     _seed_memory(model)
-    model.layers[1].attn.weights.w_q.data[0, 0] = np.inf
+    model.layers[1].attn.w_q.data[0, 0] = np.inf
     with pytest.raises(ValueError, match="layer 1"):
         model.forward(_batch(cfg, 2))
 
@@ -348,6 +350,85 @@ def test_checkpoint_config_mismatch_names_field(tmp_path):
         load_checkpoint(path, expect=_tiny_config(memory=5))
     # matching expectation loads fine
     load_checkpoint(path, expect=_tiny_config(memory=2))
+
+
+# byte offsets in a v1 file: magic, version, then the 54-byte config block;
+# the first record is "cls": 2-byte name length, the name, rank, one extent, data
+_HEADS_AT = 6 + 4 * 5
+_RECORDS_AT = 6 + 54
+_CLS_NAME_AT = _RECORDS_AT + 2
+_CLS_DATA_AT = _CLS_NAME_AT + 3 + 1 + 4
+
+
+def _duplicate_record(blob):
+    cls_record = blob[_RECORDS_AT : _CLS_DATA_AT + 8 * 8]
+    return blob + cls_record
+
+
+def _nan_record(blob):
+    blob[_CLS_DATA_AT : _CLS_DATA_AT + 8 * 8] = np.full(8, np.nan).tobytes()
+    return blob
+
+
+def _non_utf8_name(blob):
+    blob[_CLS_NAME_AT : _CLS_NAME_AT + 3] = b"\xff\xfe\xfd"
+    return blob
+
+
+def _wrapping_extents(blob):
+    # 65536**4 wraps a 64-bit product to 0; the record carries no data
+    return blob + struct.pack("<H", 4) + b"huge" + struct.pack("<B4I", 4, *(65536,) * 4)
+
+
+def _zero_heads(blob):
+    blob[_HEADS_AT : _HEADS_AT + 4] = struct.pack("<I", 0)
+    return blob
+
+
+@pytest.mark.parametrize(
+    "craft, where",
+    [
+        (_duplicate_record, "byte"),
+        (_nan_record, "byte"),
+        (_non_utf8_name, "byte"),
+        (_wrapping_extents, "byte"),
+        (_zero_heads, "heads"),
+    ],
+    ids=["duplicate", "nan", "non_utf8_name", "wrapping_extents", "zero_heads"],
+)
+def test_checkpoint_crafted_fault_rejected(tmp_path, craft, where):
+    cfg = _tiny_config()
+    path = tmp_path / "model.mfck"
+    save_checkpoint(MemFormer(cfg), path)
+    bad = tmp_path / "bad.mfck"
+    bad.write_bytes(bytes(craft(bytearray(path.read_bytes()))))
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(bad)
+    assert str(bad) in str(info.value)
+    assert where in str(info.value)
+
+
+_FIXTURE = Path(__file__).parent / "data" / "mfck_v1_tiny.mfck"
+
+
+def _fixture_model():
+    cfg = ModelConfig(window=4, patch=2, bands=3, embed=8, layers=2, heads=2, ffn=8, memory=2, classes=2, seed=7)
+    model = MemFormer(cfg)
+    rng = np.random.default_rng(0)
+    for name, bank in model.buffers().items():
+        model.set_buffer(name, 0.1 * rng.standard_normal(bank.shape))
+    return model
+
+
+def test_checkpoint_v1_fixture_bytes_are_stable(tmp_path):
+    """A committed MFCK v1 file re-saves, and its recipe rebuilds, to the same bytes."""
+    want = _FIXTURE.read_bytes()
+    resaved = tmp_path / "resaved.mfck"
+    save_checkpoint(load_checkpoint(_FIXTURE), resaved)
+    assert resaved.read_bytes() == want
+    rebuilt = tmp_path / "rebuilt.mfck"
+    save_checkpoint(_fixture_model(), rebuilt)
+    assert rebuilt.read_bytes() == want
 
 
 def test_checkpoint_standard_mode_has_no_bank_records(tmp_path):
