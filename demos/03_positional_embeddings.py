@@ -4,7 +4,6 @@ inside the joint spatial-spectral encoding.
 
 import numpy as np
 
-from memformer import autodiff as ad
 from memformer.data import synth_scene
 from memformer.embedding import (
     PatchProjector,
@@ -18,20 +17,20 @@ cube, _ = synth_scene(16, 16, 6, 2, seed=1)
 window = cube.values[:8, :8, :].astype(np.float64)
 
 print("== tokenizing an 8x8 window into 2x2 patches ==")
-tokens, coords = tokenize_batch(window[None], 2)
-print(f"{tokens.shape[1]} tokens, each {tokens.shape[2:]}, grid coords:")
-print(coords.T)
+tokens = tokenize_batch(window[None], 2)
+grid = 8 // 2
+print(f"{tokens.shape[1]} tokens, each {tokens.shape[2:]}; token i sits at grid cell divmod(i, {grid}):")
+print(np.stack(divmod(np.arange(tokens.shape[1]), grid)))
 
 print("\n== patch projection ==")
 projector = PatchProjector(16, 2, 6, rng)
-z = projector.forward(ad.constant(tokens))
+z = projector.forward(tokens)
 print(f"projected batch shape: {z.shape} (ReLU output, so min = {z.data.min():.3f})")
 
 print("\n== the four embedding modes ==")
-profiles = np.abs(tokens).mean(axis=(2, 3))
 for mode in ("none", "learnable", "sinusoidal1d", "sspe"):
-    pe = PositionalEmbedding(mode, 16, tokens.shape[1], np.random.default_rng(5))
-    table = pe.forward(coords, band_profiles=profiles if mode == "sspe" else None)
+    pe = PositionalEmbedding(mode, 16, grid, np.random.default_rng(5))
+    table = pe.forward(tokens)
     row0 = table.data[0] if table.data.ndim == 2 else table.data[0, 0]
     body = table.data[1:] if table.data.ndim == 2 else table.data[0, 1:]
     print(
@@ -45,12 +44,11 @@ print("positions 0..2, one row each of interleaved sin/cos pairs:")
 print(np.round(enc, 4))
 
 print("\n== spectral half of the joint mode reacts to band content ==")
-pe = PositionalEmbedding("sspe", 16, tokens.shape[1], np.random.default_rng(5))
-flat = np.full_like(profiles, 1.0)  # uniform band energy
-spiky = np.zeros_like(profiles)
-spiky[..., 0] = 1.0  # all energy in band 0
-uniform_out = pe.forward(coords, band_profiles=flat).data
-spiky_out = pe.forward(coords, band_profiles=spiky).data
+pe = PositionalEmbedding("sspe", 16, grid, np.random.default_rng(5))
+flat = np.ones_like(tokens)  # uniform band energy
+spiky = tokens * np.eye(6)[0]  # all energy in band 0
+uniform_out = pe.forward(flat).data
+spiky_out = pe.forward(spiky).data
 delta = np.abs(uniform_out - spiky_out).max()
 print(f"changing the band profile moves the embedding by up to {delta:.4f}")
 assert delta > 0

@@ -47,6 +47,7 @@ __all__ = [
 
 _CUBE_MAGIC = b"HSC1"
 _LABEL_MAGIC = b"HSL1"
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class FormatError(ValueError):
@@ -259,16 +260,12 @@ def extract_window(cube, row, col, size):
 class SplitManifest:
     """Disjoint train/val/test pixel assignments.
 
-    Each split is an (n, 3) int array of (row, col, class) triples. ``seed``
-    and ``fractions`` record how the split was drawn; they are None for
-    manifests read back from text, which stores only the assignments.
+    Each split is an (n, 3) int array of (row, col, class) triples.
     """
 
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
-    seed: int | None = None
-    fractions: tuple | None = None
 
     def __post_init__(self):
         self.train = _as_triples(self.train, "train")
@@ -328,8 +325,6 @@ def stratified_split(label_map, fractions, seed):
         train=np.array(parts["train"], dtype=np.int64).reshape(-1, 3),
         val=np.array(parts["val"], dtype=np.int64).reshape(-1, 3),
         test=np.array(parts["test"], dtype=np.int64).reshape(-1, 3),
-        seed=seed,
-        fractions=f,
     )
 
 
@@ -351,8 +346,15 @@ def save_manifest(manifest, path):
 
 def load_manifest(path):
     """Parse a manifest file; malformed lines raise FormatError by number."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as e:
+        lineno = data.count(b"\n", 0, e.start) + 1
+        raise FormatError(f"{path}: line {lineno}: byte {e.start} is not valid UTF-8") from None
     parts = {"train": [], "val": [], "test": []}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    first_line = {}  # (row, col) -> line that assigned it
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split(",")
@@ -364,6 +366,16 @@ def load_manifest(path):
             raise FormatError(f"{path}: line {lineno}: non-integer field in {line!r}") from None
         if min(triple[:2]) < 0:
             raise FormatError(f"{path}: line {lineno}: negative row or column in {line!r}")
+        if triple[2] < 1:
+            raise FormatError(f"{path}: line {lineno}: unlabeled pixel (class 0) or negative class in {line!r}")
+        if max(triple) > _INT64_MAX:
+            raise FormatError(f"{path}: line {lineno}: field above the 64-bit integer range in {line!r}")
+        pixel = triple[:2]
+        if pixel in first_line:
+            raise FormatError(
+                f"{path}: line {lineno}: pixel {pixel} already assigned on line {first_line[pixel]}"
+            )
+        first_line[pixel] = lineno
         parts[fields[0]].append(triple)
     arrays = {k: np.array(v, dtype=np.int64).reshape(-1, 3) for k, v in parts.items()}
     return SplitManifest(train=arrays["train"], val=arrays["val"], test=arrays["test"])

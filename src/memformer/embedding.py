@@ -1,18 +1,19 @@
 """Window tokenization, patch projection, and positional embeddings.
 
-A W_s x W_s x S sample window is cut into an exact grid of w x w x S
-sub-patches (tokens), each projected to a K-vector by a shared ReLU
-convolution kernel. Four positional embedding modes are provided:
+A W_s x W_s x S sample window is cut into a row-major grid of g x g
+sub-patches (tokens) of w x w x S, each projected to a K-vector by a shared
+ReLU convolution kernel. Four positional embedding modes are provided:
 
 * ``none``: all zeros.
 * ``learnable``: a free N x K table.
 * ``sinusoidal1d``: the standard interleaved sin/cos of the flat token index.
-* ``sspe``: joint spatial-spectral encoding. Grid coordinates get interleaved
-  sinusoids (x half then y half); the token's spectral content gets per-band
-  sinusoids mixed by energy weights; both are projected to K and fused by a
-  small MLP.
+* ``sspe``: joint spatial-spectral encoding. Token i sits at grid cell
+  divmod(i, g), whose row and column get interleaved sinusoids (row half then
+  column half); the token's mean absolute band energies weight per-band
+  sinusoids; both are projected to K and fused by a small MLP.
 
-Every mode leaves row 0, the CLS position, at zero.
+Every mode leaves row 0, the CLS position, at zero. The constant tables (the
+``none`` and ``sinusoidal1d`` rows, the sspe grid sinusoids) are built once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from . import autodiff as ad
 __all__ = [
     "tokenize_batch",
     "PatchProjector",
-    "SSPEConfig",
     "sinusoid_encoding",
     "sspe_spatial",
     "sspe_spectral",
@@ -41,9 +41,8 @@ WAVELENGTH = 10000.0
 def tokenize_batch(windows, patch_side):
     """Split a (B, W_s, W_s, S) stack of windows into row-major sub-patch grids.
 
-    Returns ``(tokens, coords)``: tokens is (B, N, w, w, S) with
-    N = (W_s/w)^2, coords is the (N, 2) grid index (row, col) of each token
-    in enumeration order, shared by every window.
+    Returns the (B, N, w, w, S) tokens, N = (W_s/w)^2; token i of a window is
+    the sub-patch at grid cell divmod(i, W_s/w).
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 4 or windows.shape[1] != windows.shape[2]:
@@ -53,14 +52,11 @@ def tokenize_batch(windows, patch_side):
     if w < 1 or side % w != 0:
         raise ValueError(f"patch side {w} must divide the window side {side}")
     g = side // w
-    tokens = (
+    return (
         windows.reshape(b, g, w, g, w, -1)
         .transpose(0, 1, 3, 2, 4, 5)
         .reshape(b, g * g, w, w, -1)
     )
-    gx, gy = np.meshgrid(np.arange(g), np.arange(g), indexing="ij")
-    coords = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    return tokens, coords
 
 
 class PatchProjector:
@@ -79,16 +75,12 @@ class PatchProjector:
         self.bias = ad.parameter(np.zeros(embed_dim))
 
     def forward(self, tokens):
-        """(..., N, w, w, S) tokens -> (..., N, K) nonnegative embeddings."""
-        if isinstance(tokens, ad.Tensor):
-            data_shape = tokens.shape
-        else:
-            tokens = ad.constant(np.asarray(tokens, dtype=np.float64))
-            data_shape = tokens.shape
+        """(..., N, w, w, S) array of tokens -> (..., N, K) nonnegative embeddings."""
+        tokens = ad.constant(np.asarray(tokens, dtype=np.float64))
         w, s = self.patch_side, self.bands
-        if data_shape[-3:] != (w, w, s):
-            raise ValueError(f"tokens must end in ({w}, {w}, {s}), got {data_shape}")
-        flat = ad.reshape(tokens, data_shape[:-3] + (w * w * s,))
+        if tokens.shape[-3:] != (w, w, s):
+            raise ValueError(f"tokens must end in ({w}, {w}, {s}), got {tokens.shape}")
+        flat = ad.reshape(tokens, tokens.shape[:-3] + (w * w * s,))
         weight = ad.transpose(ad.reshape(self.kernel, (self.embed_dim, w * w * s)), (1, 0))
         return ad.relu(ad.affine(flat, weight, self.bias))
 
@@ -117,54 +109,28 @@ def sinusoid_encoding(position, dim, schedule_dim=None):
     return out
 
 
-class SSPEConfig:
-    """Widths and trainable pieces of the joint spatial-spectral encoding.
+def _sspe_dims(embed_dim):
+    """(K_s, K_sigma): the raw spatial and spectral widths for K = embed_dim.
 
-    Spatial and spectral sinusoids share one frequency schedule over K. The
-    raw spatial (K_s) and spectral (K_sigma) features are projected to K and
-    fused by an affine(2K -> K) + ReLU + affine(K -> K) MLP.
+    The x and y halves must each hold whole sin/cos pairs, so K_s is K rounded
+    up to a multiple of 4; K_sigma is K rounded up to a multiple of 2.
     """
-
-    def __init__(self, embed_dim, rng):
-        if embed_dim < 1:
-            raise ValueError("embed_dim must be >= 1")
-        self.embed_dim = embed_dim
-        # x and y halves must each hold whole sin/cos pairs, so the spatial
-        # width is K rounded up to a multiple of 4; spectral to a multiple of 2
-        self.spatial_dim = 4 * ((embed_dim + 3) // 4)
-        self.spectral_dim = 2 * ((embed_dim + 1) // 2)
-        self.proj_spatial = ad.glorot_uniform(rng, (self.spatial_dim, embed_dim))
-        self.proj_spectral = ad.glorot_uniform(rng, (self.spectral_dim, embed_dim))
-        self.fuse_w1 = ad.glorot_uniform(rng, (2 * embed_dim, embed_dim))
-        self.fuse_b1 = ad.parameter(np.zeros(embed_dim))
-        self.fuse_w2 = ad.glorot_uniform(rng, (embed_dim, embed_dim))
-        self.fuse_b2 = ad.parameter(np.zeros(embed_dim))
-
-    def parameters(self):
-        return {
-            "sspe.proj_spatial": self.proj_spatial,
-            "sspe.proj_spectral": self.proj_spectral,
-            "sspe.fuse_w1": self.fuse_w1,
-            "sspe.fuse_b1": self.fuse_b1,
-            "sspe.fuse_w2": self.fuse_w2,
-            "sspe.fuse_b2": self.fuse_b2,
-        }
+    return 4 * ((embed_dim + 3) // 4), 2 * ((embed_dim + 1) // 2)
 
 
-def sspe_spatial(x, y, cfg):
+def sspe_spatial(x, y, embed_dim):
     """K_s-vectors: sinusoids of grid x over the first half, of y over the second.
 
     ``x`` and ``y`` are scalars or arrays of one shape; the result is
-    (..., K_s).
+    (..., K_s). Both halves use the frequency schedule over K.
     """
-    half = cfg.spatial_dim // 2
+    half = _sspe_dims(embed_dim)[0] // 2
     return np.concatenate(
-        [sinusoid_encoding(x, half, cfg.embed_dim), sinusoid_encoding(y, half, cfg.embed_dim)],
-        axis=-1,
+        [sinusoid_encoding(x, half, embed_dim), sinusoid_encoding(y, half, embed_dim)], axis=-1
     )
 
 
-def sspe_spectral(profiles, cfg):
+def sspe_spectral(profiles, embed_dim):
     """K_sigma-vectors: energy-weighted mixtures of per-band-index sinusoids.
 
     ``profiles`` is (..., S) nonnegative band energies; the result is
@@ -179,78 +145,74 @@ def sspe_spectral(profiles, cfg):
     bands = profiles.shape[-1]
     totals = profiles.sum(axis=-1, keepdims=True)
     weights = np.where(totals == 0, 1.0 / bands, profiles / np.where(totals == 0, 1.0, totals))
-    return weights @ sinusoid_encoding(np.arange(bands), cfg.spectral_dim, cfg.embed_dim)
+    return weights @ sinusoid_encoding(np.arange(bands), _sspe_dims(embed_dim)[1], embed_dim)
 
 
 class PositionalEmbedding:
-    """One of the four positional modes, emitting an (N+1) x K addend.
+    """One of the four positional modes over a grid x grid token layout.
 
-    Row 0 is the CLS position and is zero in every mode. ``forward`` returns
-    (N+1, K) for data-independent modes and (B, N+1, K) for sspe, whose
-    spectral half depends on each sample's band energies.
+    ``forward`` takes the (B, N, w, w, S) tokens and returns an (N+1, K)
+    addend for the data-independent modes and (B, N+1, K) for sspe, whose
+    spectral half depends on each token's band energies. Row 0 is the CLS
+    position and is zero in every mode. The sspe raw spatial (K_s) and
+    spectral (K_sigma) features are projected to K and fused by an
+    affine(2K -> K) + ReLU + affine(K -> K) MLP.
     """
 
-    def __init__(self, mode, embed_dim, num_tokens, rng):
+    def __init__(self, mode, embed_dim, grid, rng):
         if mode not in PE_MODES:
             raise ValueError(f"unknown positional mode {mode!r}, expected one of {PE_MODES}")
         self.mode = mode
         self.embed_dim = embed_dim
-        self.num_tokens = num_tokens
-        self.table = None
-        self.sspe = None
+        self.num_tokens = n = grid * grid
         self.fixed = None
+        self.spatial = None
+        self._params = {}
         if mode == "learnable":
-            self.table = ad.glorot_uniform(rng, (num_tokens, embed_dim))
+            self._params["pos.table"] = ad.glorot_uniform(rng, (n, embed_dim))
         elif mode == "sspe":
-            self.sspe = SSPEConfig(embed_dim, rng)
+            k_s, k_sigma = _sspe_dims(embed_dim)
+            self._params = {
+                "sspe.proj_spatial": ad.glorot_uniform(rng, (k_s, embed_dim)),
+                "sspe.proj_spectral": ad.glorot_uniform(rng, (k_sigma, embed_dim)),
+                "sspe.fuse_w1": ad.glorot_uniform(rng, (2 * embed_dim, embed_dim)),
+                "sspe.fuse_b1": ad.parameter(np.zeros(embed_dim)),
+                "sspe.fuse_w2": ad.glorot_uniform(rng, (embed_dim, embed_dim)),
+                "sspe.fuse_b2": ad.parameter(np.zeros(embed_dim)),
+            }
+            # (N, K_s) grid sinusoids of token i at row-major cell divmod(i, grid)
+            self.spatial = sspe_spatial(*divmod(np.arange(n), grid), embed_dim)
+            self.spatial.flags.writeable = False
         else:
-            # none and sinusoidal1d are constant tables, built once
-            self.fixed = np.zeros((num_tokens + 1, embed_dim))
+            self.fixed = np.zeros((n + 1, embed_dim))
             if mode == "sinusoidal1d":
                 dim = 2 * ((embed_dim + 1) // 2)
-                self.fixed[1:] = sinusoid_encoding(np.arange(num_tokens), dim)[:, :embed_dim]
+                self.fixed[1:] = sinusoid_encoding(np.arange(n), dim)[:, :embed_dim]
             self.fixed.flags.writeable = False
 
     def parameters(self):
-        if self.mode == "learnable":
-            return {"pos.table": self.table}
-        if self.mode == "sspe":
-            return self.sspe.parameters()
-        return {}
+        return dict(self._params)
 
-    def forward(self, coords, band_profiles=None):
-        """Positional rows for tokens at ``coords``.
-
-        ``band_profiles`` is (B, N, S) nonnegative energies, required by the
-        sspe mode and ignored elsewhere.
-        """
+    def forward(self, tokens):
+        """Positional rows for a (B, N, w, w, S) token batch."""
+        shape = np.shape(tokens)
         n = self.num_tokens
-        if len(coords) != n:
-            raise ValueError(f"expected {n} token coordinates, got {len(coords)}")
+        if len(shape) != 5 or shape[1] != n:
+            raise ValueError(f"expected (batch, {n}, w, w, bands) tokens, got shape {shape}")
         if self.fixed is not None:
             return ad.constant(self.fixed)
+        p = self._params
         if self.mode == "learnable":
             zero = ad.constant(np.zeros((1, self.embed_dim)))
-            return ad.concat([zero, self.table], axis=0)
-        return self._forward_sspe(coords, band_profiles)
+            return ad.concat([zero, p["pos.table"]], axis=0)
 
-    def _forward_sspe(self, coords, band_profiles):
-        cfg = self.sspe
-        if band_profiles is None:
-            raise ValueError("sspe mode needs per-token band profiles")
-        profiles = np.asarray(band_profiles, dtype=np.float64)
-        if profiles.ndim != 3:
-            raise ValueError(f"sspe band profiles must be (batch, tokens, bands), got shape {profiles.shape}")
-        b, n, _ = profiles.shape
-        if n != self.num_tokens:
-            raise ValueError(f"expected {self.num_tokens} profiles per sample, got {n}")
-
-        coords = np.asarray(coords)
-        spatial = sspe_spatial(coords[:, 0], coords[:, 1], cfg)
-        spa = ad.matmul(ad.constant(np.broadcast_to(spatial, (b, n, cfg.spatial_dim)).copy()), cfg.proj_spatial)
-        spe = ad.matmul(ad.constant(sspe_spectral(profiles, cfg)), cfg.proj_spectral)
+        b = shape[0]
+        spatial = np.broadcast_to(self.spatial, (b,) + self.spatial.shape).copy()
+        spa = ad.matmul(ad.constant(spatial), p["sspe.proj_spatial"])
+        profiles = np.abs(tokens).mean(axis=(2, 3))
+        spe = ad.matmul(ad.constant(sspe_spectral(profiles, self.embed_dim)), p["sspe.proj_spectral"])
         joint = ad.concat([spa, spe], axis=-1)
-        hidden = ad.relu(ad.affine(joint, cfg.fuse_w1, cfg.fuse_b1))
-        rows = ad.affine(hidden, cfg.fuse_w2, cfg.fuse_b2)
+        hidden = ad.relu(ad.affine(joint, p["sspe.fuse_w1"], p["sspe.fuse_b1"]))
+        rows = ad.affine(hidden, p["sspe.fuse_w2"], p["sspe.fuse_b2"])
         zero = ad.constant(np.zeros((b, 1, self.embed_dim)))
         return ad.concat([zero, rows], axis=1)

@@ -70,6 +70,8 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.layers < 0:
             raise ValueError(f"layers must be >= 0, got {self.layers}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.embed % self.heads != 0:
             raise ValueError(f"heads ({self.heads}) must divide embed ({self.embed})")
         if self.window % self.patch != 0:
@@ -137,7 +139,9 @@ class MemFormer:
         self.dropout_rng = np.random.default_rng(drop_seq)
         self.cls = ad.parameter(np.zeros(config.embed))
         self.projector = PatchProjector(config.embed, config.patch, config.bands, rng)
-        self.positional = PositionalEmbedding(config.pe_mode, config.embed, config.tokens, rng)
+        self.positional = PositionalEmbedding(
+            config.pe_mode, config.embed, config.window // config.patch, rng
+        )
         self.layers = [_EncoderLayer(config, rng) for _ in range(config.layers)]
         self.classifier_w = ad.glorot_uniform(rng, (config.embed, config.classes))
         self.classifier_b = ad.parameter(np.zeros(config.classes))
@@ -195,12 +199,11 @@ class MemFormer:
             raise ValueError("batch contains non-finite values")
         b = batch.shape[0]
 
-        tokens, coords = tokenize_batch(batch, cfg.patch)
+        tokens = tokenize_batch(batch, cfg.patch)
         z = self.projector.forward(tokens)
         cls_row = ad.broadcast_to(ad.reshape(self.cls, (1, 1, cfg.embed)), (b, 1, cfg.embed))
         z = ad.concat([cls_row, z], axis=1)
-        profiles = np.abs(tokens).mean(axis=(2, 3)) if cfg.pe_mode == "sspe" else None
-        z = ad.add(z, self.positional.forward(coords, profiles))
+        z = ad.add(z, self.positional.forward(tokens))
 
         for i, layer in enumerate(self.layers):
             try:
@@ -323,7 +326,10 @@ def load_checkpoint(path, expect=None):
         # Python integers: a numpy product of large extents can wrap to 0
         count = math.prod(shape)
         raw, offset = _take(data, offset, 8 * count, path, f"data of {name!r}")
-        values = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        try:
+            values = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        except ValueError as e:  # numpy's rank and total-size limits
+            raise CheckpointError(f"{path}: record {name!r} at byte {start} has unusable extents: {e}") from None
         if not np.isfinite(values).all():
             raise CheckpointError(f"{path}: record {name!r} at byte {start} holds non-finite values")
         records[name] = values

@@ -375,6 +375,25 @@ def test_manifest_rejects_negative_coordinates(tmp_path):
             SplitManifest(train=np.array([row]), val=np.zeros((0, 3)), test=np.zeros((0, 3)))
 
 
+@pytest.mark.parametrize(
+    "text, what",
+    [
+        (b"train,0,0,1\ntrain,1,2,0\n", "class 0"),
+        (b"train,0,0,1\ntrain,99999999999999999999,0,1\n", "64-bit"),
+        (b"train,0,0,1\ntrain,0,0,2\n", "line 1"),
+        (b"train,0,0,1\ntest,1,\xff,1\n", "UTF-8"),
+    ],
+    ids=["class_zero", "int64_overflow", "pixel_in_two_splits", "non_utf8"],
+)
+def test_manifest_fault_names_path_and_line(tmp_path, text, what):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text)
+    with pytest.raises(FormatError, match="line 2") as info:
+        load_manifest(path)
+    assert str(path) in str(info.value)
+    assert what in str(info.value)
+
+
 def test_manifest_rejects_overlap():
     from memformer.data import SplitManifest
 

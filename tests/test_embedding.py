@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from memformer import autodiff as ad
+from memformer import embedding
 from memformer.embedding import (
     PE_MODES,
     PatchProjector,
     PositionalEmbedding,
-    SSPEConfig,
     sinusoid_encoding,
     sspe_spatial,
     sspe_spectral,
@@ -21,28 +21,30 @@ from memformer.embedding import (
 
 def test_tokenize_counts():
     wins = np.zeros((2, 14, 14, 3))
-    tokens, coords = tokenize_batch(wins, 2)
+    tokens = tokenize_batch(wins, 2)
     assert tokens.shape == (2, 49, 2, 2, 3)
-    assert coords.shape == (49, 2)
-    tokens, coords = tokenize_batch(wins, 14)
+    tokens = tokenize_batch(wins, 14)
     assert tokens.shape == (2, 1, 14, 14, 3)
-    assert coords.tolist() == [[0, 0]]
 
 
-def test_tokenize_coordinate_order():
-    wins = np.zeros((1, 4, 4, 2))
-    _, coords = tokenize_batch(wins, 2)
-    assert coords.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+def test_spatial_table_follows_row_major_grid():
+    g, k = 3, 8
+    pe = PositionalEmbedding("sspe", embed_dim=k, grid=g, rng=np.random.default_rng(0))
+    assert pe.spatial.shape == (g * g, 8)
+    for i in range(g * g):
+        np.testing.assert_array_equal(pe.spatial[i], sspe_spatial(i // g, i % g, k))
+    assert not pe.spatial.flags.writeable
 
 
 def test_tokenize_is_a_partition():
     # distinct windows, so a token taken from the wrong window shows up
     rng = np.random.default_rng(0)
     wins = rng.standard_normal((3, 8, 8, 5))
-    tokens, coords = tokenize_batch(wins, 2)
+    tokens = tokenize_batch(wins, 2)
     for win, patches in zip(wins, tokens):
         rebuilt = np.zeros_like(win)
-        for patch, (gx, gy) in zip(patches, coords):
+        for i, patch in enumerate(patches):
+            gx, gy = divmod(i, 4)
             rebuilt[2 * gx : 2 * gx + 2, 2 * gy : 2 * gy + 2] = patch
         np.testing.assert_array_equal(rebuilt, win)
 
@@ -145,70 +147,66 @@ def test_sinusoid_broadcasts_over_positions():
 
 
 def test_spatial_encoding_layout():
-    cfg = SSPEConfig(8, np.random.default_rng(0))
-    vec = sspe_spatial(0, 0, cfg)
-    assert vec.shape == (cfg.spatial_dim,)
-    np.testing.assert_array_equal(vec[0::2], np.zeros(cfg.spatial_dim // 2))
-    np.testing.assert_array_equal(vec[1::2], np.ones(cfg.spatial_dim // 2))
+    spatial_dim = 8
+    vec = sspe_spatial(0, 0, 8)
+    assert vec.shape == (spatial_dim,)
+    np.testing.assert_array_equal(vec[0::2], np.zeros(spatial_dim // 2))
+    np.testing.assert_array_equal(vec[1::2], np.ones(spatial_dim // 2))
     # x occupies the first half, y the second
-    vec = sspe_spatial(3, 0, cfg)
-    half = cfg.spatial_dim // 2
+    vec = sspe_spatial(3, 0, 8)
+    half = spatial_dim // 2
     np.testing.assert_allclose(vec[2], np.sin(3.0 / 10000.0 ** 0.25), rtol=1e-15)
     np.testing.assert_array_equal(vec[half + 0 :: 2][: half // 2], np.zeros(half // 2))
 
 
 def test_spatial_encoding_injective_on_grid():
-    cfg = SSPEConfig(16, np.random.default_rng(0))
-    rows = np.stack([sspe_spatial(x, y, cfg) for x in range(7) for y in range(7)])
+    rows = np.stack([sspe_spatial(x, y, 16) for x in range(7) for y in range(7)])
     xs, ys = np.meshgrid(np.arange(7), np.arange(7), indexing="ij")
-    np.testing.assert_array_equal(sspe_spatial(xs.ravel(), ys.ravel(), cfg), rows)
+    np.testing.assert_array_equal(sspe_spatial(xs.ravel(), ys.ravel(), 16), rows)
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             assert np.linalg.norm(rows[i] - rows[j]) > 1e-9
 
 
 def test_spectral_encoding_one_hot_and_uniform():
-    cfg = SSPEConfig(8, np.random.default_rng(0))
+    spectral_dim = 8
     one_hot = np.zeros(5)
     one_hot[0] = 1.0
-    enc = sspe_spectral(one_hot, cfg)
-    np.testing.assert_array_equal(enc[0::2], np.zeros(cfg.spectral_dim // 2))
-    np.testing.assert_array_equal(enc[1::2], np.ones(cfg.spectral_dim // 2))
+    enc = sspe_spectral(one_hot, 8)
+    np.testing.assert_array_equal(enc[0::2], np.zeros(spectral_dim // 2))
+    np.testing.assert_array_equal(enc[1::2], np.ones(spectral_dim // 2))
     # all-zero profile falls back to the uniform mixture
-    per_band = np.stack([sspe_spectral(np.eye(5)[j], cfg) for j in range(5)])
-    np.testing.assert_allclose(sspe_spectral(np.zeros(5), cfg), per_band.mean(axis=0), rtol=1e-12)
+    per_band = np.stack([sspe_spectral(np.eye(5)[j], 8) for j in range(5)])
+    np.testing.assert_allclose(sspe_spectral(np.zeros(5), 8), per_band.mean(axis=0), rtol=1e-12)
 
 
 def test_spectral_encoding_two_band_mixture():
-    cfg = SSPEConfig(8, np.random.default_rng(0))
-    got = sspe_spectral(np.array([1.0, 1.0]), cfg)
-    e0 = sinusoid_encoding(0.0, cfg.spectral_dim, cfg.embed_dim)
-    e1 = sinusoid_encoding(1.0, cfg.spectral_dim, cfg.embed_dim)
+    got = sspe_spectral(np.array([1.0, 1.0]), 8)
+    e0 = sinusoid_encoding(0.0, 8, 8)
+    e1 = sinusoid_encoding(1.0, 8, 8)
     np.testing.assert_allclose(got, 0.5 * e0 + 0.5 * e1, rtol=1e-12)
 
 
 def test_spectral_encoding_broadcasts_over_profiles():
-    cfg = SSPEConfig(6, np.random.default_rng(0))
     profiles = np.abs(np.random.default_rng(1).standard_normal((2, 3, 5)))
     profiles[1, 2] = 0.0
-    got = sspe_spectral(profiles, cfg)
-    assert got.shape == (2, 3, cfg.spectral_dim)
+    got = sspe_spectral(profiles, 6)
+    assert got.shape == (2, 3, 6)
     for i in range(2):
         for j in range(3):
-            np.testing.assert_allclose(got[i, j], sspe_spectral(profiles[i, j], cfg), rtol=1e-14)
+            np.testing.assert_allclose(got[i, j], sspe_spectral(profiles[i, j], 6), rtol=1e-14)
 
 
 def test_spectral_encoding_rejects_negative():
-    cfg = SSPEConfig(8, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        sspe_spectral(np.array([0.5, -0.1]), cfg)
+        sspe_spectral(np.array([0.5, -0.1]), 8)
 
 
 def test_sspe_dims_round_up_for_odd_embed():
-    cfg = SSPEConfig(15, np.random.default_rng(0))
-    assert cfg.spatial_dim == 16
-    assert cfg.spectral_dim == 16
-    assert cfg.proj_spatial.shape == (16, 15)
+    assert sspe_spatial(0, 0, 15).shape == (16,)
+    assert sspe_spectral(np.ones(3), 15).shape == (16,)
+    pe = PositionalEmbedding("sspe", embed_dim=15, grid=2, rng=np.random.default_rng(0))
+    assert pe.parameters()["sspe.proj_spatial"].shape == (16, 15)
 
 
 # -- positional embedding modes -----------------------------------------------------
@@ -217,76 +215,91 @@ def test_sspe_dims_round_up_for_odd_embed():
 def _fixture(mode, rng=None):
     rng = rng or np.random.default_rng(7)
     win = rng.standard_normal((1, 4, 4, 3))
-    tokens, coords = tokenize_batch(win, 2)
-    profiles = np.abs(tokens).mean(axis=(2, 3))
-    pe = PositionalEmbedding(mode, embed_dim=6, num_tokens=4, rng=rng)
-    return pe, coords, profiles
+    tokens = tokenize_batch(win, 2)
+    pe = PositionalEmbedding(mode, embed_dim=6, grid=2, rng=rng)
+    return pe, tokens
 
 
 def test_mode_none_is_zero():
-    pe, coords, profiles = _fixture("none")
-    out = pe.forward(coords)
+    pe, tokens = _fixture("none")
+    out = pe.forward(tokens)
     assert out.shape == (5, 6)
     np.testing.assert_array_equal(out.data, np.zeros((5, 6)))
 
 
 def test_mode_learnable_exposes_table():
-    pe, coords, _ = _fixture("learnable")
-    out = pe.forward(coords)
+    pe, tokens = _fixture("learnable")
+    table = pe.parameters()["pos.table"]
+    out = pe.forward(tokens)
     assert out.shape == (5, 6)
     np.testing.assert_array_equal(out.data[0], np.zeros(6))
-    np.testing.assert_array_equal(out.data[1:], pe.table.data)
+    np.testing.assert_array_equal(out.data[1:], table.data)
     (out * ad.constant(np.ones((5, 6)))).sum().backward()
-    np.testing.assert_array_equal(pe.table.grad, np.ones((4, 6)))
+    np.testing.assert_array_equal(table.grad, np.ones((4, 6)))
 
 
 def test_mode_sinusoidal1d_index_zero():
-    pe, coords, _ = _fixture("sinusoidal1d")
-    out = pe.forward(coords).data
+    pe, tokens = _fixture("sinusoidal1d")
+    out = pe.forward(tokens).data
     np.testing.assert_array_equal(out[0], np.zeros(6))
     np.testing.assert_array_equal(out[1], [0, 1, 0, 1, 0, 1])
     np.testing.assert_allclose(out[2][0], np.sin(1.0), rtol=1e-15)
 
 
 def test_mode_sspe_zero_mlp_collapses():
-    pe, coords, profiles = _fixture("sspe")
-    pe.sspe.fuse_w2.data[:] = 0.0
-    pe.sspe.fuse_b2.data[:] = 0.0
-    out = pe.forward(coords, profiles)
+    pe, tokens = _fixture("sspe")
+    pe.parameters()["sspe.fuse_w2"].data[:] = 0.0
+    pe.parameters()["sspe.fuse_b2"].data[:] = 0.0
+    out = pe.forward(tokens)
     np.testing.assert_array_equal(out.data, np.zeros((1, 5, 6)))
 
 
 def test_all_modes_zero_cls_row():
     for mode in PE_MODES:
-        pe, coords, profiles = _fixture(mode)
-        out = pe.forward(coords, profiles)
+        pe, tokens = _fixture(mode)
+        out = pe.forward(tokens)
         data = out.data if out.data.ndim == 2 else out.data[0]
         assert data.shape == (5, 6)
         np.testing.assert_array_equal(data[0], np.zeros(6))
 
 
-def test_mode_sspe_rejects_unbatched_profiles():
-    pe, coords, profiles = _fixture("sspe")
-    with pytest.raises(ValueError, match=r"\(4, 3\)"):
-        pe.forward(coords, profiles[0])
+def test_mode_sspe_rejects_unbatched_tokens():
+    pe, tokens = _fixture("sspe")
+    with pytest.raises(ValueError, match=r"\(4, 2, 2, 3\)"):
+        pe.forward(tokens[0])
+
+
+def test_mode_sspe_forward_builds_only_the_band_table(monkeypatch):
+    pe, tokens = _fixture("sspe")
+    calls = []
+    original = embedding.sinusoid_encoding
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(embedding, "sinusoid_encoding", counting)
+    pe.forward(tokens)
+    # one (S, K_sigma) band table; the spatial grid table was built at construction
+    assert calls == [(3,)]
 
 
 def test_mode_sspe_deterministic_and_data_dependent():
-    pe, coords, profiles = _fixture("sspe")
-    a = pe.forward(coords, profiles).data
-    b = pe.forward(coords, profiles).data
+    pe, tokens = _fixture("sspe")
+    a = pe.forward(tokens).data
+    b = pe.forward(tokens).data
     np.testing.assert_array_equal(a, b)
-    other = pe.forward(coords, profiles * 0.0 + np.linspace(1, 2, 3)).data
+    other = pe.forward(tokens * np.linspace(1, 2, 3)).data
     assert not np.array_equal(a, other)
 
 
 def test_mode_sspe_gradients_reach_every_parameter():
     rng = np.random.default_rng(8)
-    pe, coords, profiles = _fixture("sspe", rng)
+    pe, tokens = _fixture("sspe", rng)
     v = rng.standard_normal((1, 5, 6))
 
     def loss():
-        return (pe.forward(coords, profiles) * ad.constant(v)).sum()
+        return (pe.forward(tokens) * ad.constant(v)).sum()
 
     loss().backward()
     for name, p in pe.parameters().items():

@@ -355,6 +355,7 @@ def test_checkpoint_config_mismatch_names_field(tmp_path):
 # byte offsets in a v1 file: magic, version, then the 54-byte config block;
 # the first record is "cls": 2-byte name length, the name, rank, one extent, data
 _HEADS_AT = 6 + 4 * 5
+_SEED_AT = 6 + 4 * 9 + 8 + 2
 _RECORDS_AT = 6 + 54
 _CLS_NAME_AT = _RECORDS_AT + 2
 _CLS_DATA_AT = _CLS_NAME_AT + 3 + 1 + 4
@@ -380,6 +381,20 @@ def _wrapping_extents(blob):
     return blob + struct.pack("<H", 4) + b"huge" + struct.pack("<B4I", 4, *(65536,) * 4)
 
 
+def _rank_65(blob):
+    return blob + struct.pack("<H", 4) + b"deep" + struct.pack("<B65I", 65, *(1,) * 65) + bytes(8)
+
+
+def _too_big_extents(blob):
+    # zero elements, so no data to read, but numpy cannot address the shape
+    return blob + struct.pack("<H", 4) + b"huge" + struct.pack("<B4I", 4, 0, *(2**32 - 1,) * 3)
+
+
+def _negative_seed(blob):
+    blob[_SEED_AT : _SEED_AT + 8] = struct.pack("<q", -1)
+    return blob
+
+
 def _zero_heads(blob):
     blob[_HEADS_AT : _HEADS_AT + 4] = struct.pack("<I", 0)
     return blob
@@ -392,9 +407,21 @@ def _zero_heads(blob):
         (_nan_record, "byte"),
         (_non_utf8_name, "byte"),
         (_wrapping_extents, "byte"),
+        (_rank_65, "'deep' at byte"),
+        (_too_big_extents, "'huge' at byte"),
+        (_negative_seed, "seed"),
         (_zero_heads, "heads"),
     ],
-    ids=["duplicate", "nan", "non_utf8_name", "wrapping_extents", "zero_heads"],
+    ids=[
+        "duplicate",
+        "nan",
+        "non_utf8_name",
+        "wrapping_extents",
+        "rank_65",
+        "too_big_extents",
+        "negative_seed",
+        "zero_heads",
+    ],
 )
 def test_checkpoint_crafted_fault_rejected(tmp_path, craft, where):
     cfg = _tiny_config()
