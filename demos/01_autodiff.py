@@ -1,5 +1,6 @@
 """Walk through the reverse-mode tensor kernel: build a small computation,
-backpropagate, and confirm every gradient against central finite differences.
+backpropagate, confirm every gradient against central finite differences,
+then cut the graph with ``detach`` and switch recording off with ``no_grad``.
 """
 
 import numpy as np
@@ -40,3 +41,10 @@ assert err < 1e-8
 print("\n== detaching cuts the graph ==")
 frozen = hidden.detach()
 print(f"detached tensor requires_grad = {frozen.requires_grad}")
+
+print("\n== no_grad records no graph at all ==")
+with ad.no_grad():
+    read_only = ad.relu(ad.affine(x, w, b))
+print(f"inside no_grad: requires_grad = {read_only.requires_grad}, parents = {len(read_only._parents)}")
+print(f"same values as the recorded forward: {bool(np.array_equal(read_only.data, hidden.data))}")
+print(f"recording resumes after the block: {ad.relu(ad.affine(x, w, b)).requires_grad}")

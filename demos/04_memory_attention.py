@@ -15,8 +15,9 @@ print("== a fresh bank attends uniformly ==")
 bank = np.zeros((4, 8))
 w_q, w_k, w_v = (ad.glorot_uniform(rng, (8, 8)) for _ in range(3))
 q = ad.matmul(ad.constant(rng.standard_normal((1, 3, 8))), w_q)
-k_mem, v_mem = project_memory(bank, w_k, w_v, batch=1)
+k_mem, v_mem = project_memory(bank, w_k, w_v)
 out, attn_weights = attend(q, k_mem, v_mem, 2, return_weights=True)
+print(f"keys are projected once and shared by the batch: shape {k_mem.shape}")
 print(f"every weight equals 1/capacity = {1 / 4}: {bool(np.allclose(attn_weights.data, 0.25))}")
 print(f"and the output is all zeros: {bool(np.all(out.data == 0.0))}")
 

@@ -24,6 +24,8 @@ specified.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from . import autodiff as ad
@@ -38,22 +40,17 @@ __all__ = [
 ]
 
 
-def project_memory(bank, w_k, w_v, batch):
-    """Tile the bank's key/value projections across the batch.
+def project_memory(bank, w_k, w_v):
+    """The bank's key/value projections, computed once for the whole batch.
 
     ``bank`` is the (M_len, K) array. Returns (K_m, V_m), each
-    (batch, M_len, K); every batch slice is the same M @ W product.
+    (1, M_len, K); ``attend`` broadcasts the leading 1 over the batch.
     """
-    if batch < 1:
-        raise ValueError(f"batch size must be >= 1, got {batch}")
-    capacity, width = bank.shape
+    width = bank.shape[1]
     if width != w_k.shape[0]:
         raise ValueError(f"bank width {width} != projection width {w_k.shape[0]}")
-    m = ad.constant(bank)
-    shape = (batch, capacity, width)
-    k_m = ad.broadcast_to(ad.matmul(m, w_k), shape)
-    v_m = ad.broadcast_to(ad.matmul(m, w_v), shape)
-    return k_m, v_m
+    m = ad.constant(bank[None])
+    return ad.matmul(m, w_k), ad.matmul(m, w_v)
 
 
 def _split_heads(x, heads):
@@ -64,16 +61,17 @@ def _split_heads(x, heads):
 def attend(q, k_mem, v_mem, heads, return_weights=False):
     """Scaled dot-product attention of queries against a key/value bank.
 
-    ``q`` is (B, T, K); ``k_mem``/``v_mem`` are (B, L, K) where L is the bank
-    length (M_len here, or T for self-attention). Scores are scaled by
-    1/sqrt(K/heads) per head and softmaxed over the bank axis.
+    ``q`` is (B, T, K); ``k_mem``/``v_mem`` are (B, L, K) or (1, L, K) where
+    L is the bank length (M_len here, or T for self-attention); a batch of 1
+    is shared by every query row. Scores are scaled by 1/sqrt(K/heads) per
+    head and softmaxed over the bank axis.
     """
     if q.ndim != 3 or k_mem.ndim != 3 or v_mem.ndim != 3:
         raise ValueError("attend expects rank-3 (batch, tokens, width) inputs")
     b, t, k = q.shape
     if heads < 1 or k % heads != 0:
         raise ValueError(f"head count {heads} must divide width {k}")
-    if k_mem.shape[0] != b or k_mem.shape[2] != k or v_mem.shape != k_mem.shape:
+    if k_mem.shape[0] not in (1, b) or k_mem.shape[2] != k or v_mem.shape != k_mem.shape:
         raise ValueError(f"bank shapes {k_mem.shape}, {v_mem.shape} do not match queries {q.shape}")
     qh = _split_heads(q, heads)
     kh = _split_heads(k_mem, heads)
@@ -158,13 +156,15 @@ class MemoryAttention(_AttentionBlock):
         """
         if z.ndim != 3:
             raise ValueError(f"expected (batch, tokens, width) input, got {z.shape}")
-        batch = z.shape[0]
         q = ad.matmul(z, self.w_q)
-        k_m, v_m = project_memory(self.memory, self.w_k, self.w_v, batch)
-        attn, first_weights = attend(q, k_m, v_m, self.heads, return_weights=True)
+        # in train mode the first pass only feeds the bank update, so it
+        # records no graph; the loss sees the second pass
+        with ad.no_grad() if train else contextlib.nullcontext():
+            k_m, v_m = project_memory(self.memory, self.w_k, self.w_v)
+            attn, first_weights = attend(q, k_m, v_m, self.heads, return_weights=True)
         if train:
             self.memory = update_memory(self.memory, attn)
-            k_m, v_m = project_memory(self.memory, self.w_k, self.w_v, batch)
+            k_m, v_m = project_memory(self.memory, self.w_k, self.w_v)
             attn = attend(q, k_m, v_m, self.heads)
         out = residual_norm(q, attn, self.gain, self.bias, self.dropout_rate, rng, train)
         if return_weights:

@@ -9,14 +9,24 @@ Only the primitives the model actually needs are provided: matmul, softmax,
 layer norm, ReLU, affine, dropout, cross-entropy, plus the shape plumbing
 (reshape / transpose / broadcast / concat / narrow) required to wire an
 encoder together.
+
+``no_grad()`` switches recording off for a block: every primitive result
+made inside it is a constant with no parents and no ``grad_fn``, so each
+intermediate is freed as soon as nothing reads its values. The values are
+the same as with recording on. Leaves are unaffected: ``parameter`` and
+``glorot_uniform`` still make trainable tensors inside the block. Use it
+around forwards whose results are only read, never backpropagated.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "constant",
     "parameter",
     "glorot_uniform",
@@ -199,7 +209,25 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block; the previous state returns on exit,
+    also when the block raises, so blocks nest."""
+    global _recording
+    saved = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 def _node(data, parents, grad_fn, op):
+    if not _recording:
+        return Tensor(data, False, (), None, op)
     req = any(p.requires_grad for p in parents)
     return Tensor(data, req, parents, grad_fn if req else None, op)
 

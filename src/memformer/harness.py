@@ -99,8 +99,9 @@ def extract_samples(cube, part, window):
 
 def _batched_logits(model, windows, batch_size):
     out = []
-    for start in range(0, len(windows), batch_size):
-        out.append(model.forward(windows[start : start + batch_size], train=False).data)
+    with ad.no_grad():
+        for start in range(0, len(windows), batch_size):
+            out.append(model.forward(windows[start : start + batch_size], train=False).data)
     return np.concatenate(out, axis=0)
 
 
@@ -193,8 +194,8 @@ def train(model, cube, manifest, cfg):
 def evaluate(model, cube, part, batch_size=64):
     """EvalReport over one manifest split (typically test).
 
-    Only eval-mode forwards run, so memory banks and the dropout stream are
-    left untouched.
+    Only eval-mode forwards run, recording no graph, so memory banks and the
+    dropout stream are left untouched.
     """
     if len(part) == 0:
         raise ValueError("evaluation split is empty")

@@ -128,5 +128,6 @@ class EvalReport:
             lines.append(f"trainable parameters: {self.trainable_params}")
             lines.append(f"non-trainable parameters: {self.non_trainable_params}")
         if self.seconds:
-            lines.append(f"eval seconds: {self.seconds:.2f}")
+            # wall time, the one line that differs between identical runs
+            lines.append(f"evaluated in {self.seconds:.2f}s")
         return "\n".join(lines)

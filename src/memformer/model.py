@@ -218,11 +218,14 @@ class MemFormer:
 
     def predict(self, batch):
         """Most likely class per window (eval mode); ties go to the lower index."""
-        return np.argmax(self.forward(batch, train=False).data, axis=1)
+        with ad.no_grad():
+            logits = self.forward(batch, train=False).data
+        return np.argmax(logits, axis=1)
 
     def predict_proba(self, batch):
         """Softmax class probabilities per window (eval mode)."""
-        logits = self.forward(batch, train=False).data
+        with ad.no_grad():
+            logits = self.forward(batch, train=False).data
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         return e / e.sum(axis=1, keepdims=True)
 

@@ -164,7 +164,7 @@ def test_criterion_3_fifo_suite():
             # zero-initialized memory attends uniformly on the first pass
             w_q, w_k, w_v = (ad.glorot_uniform(rng, (width, width)) for _ in range(3))
             q = ad.constant(rng.standard_normal((1, 2, width)))
-            k_mem, v_mem = project_memory(bank, w_k, w_v, batch=1)
+            k_mem, v_mem = project_memory(bank, w_k, w_v)
             _, first_pass = attend(ad.matmul(q, w_q), k_mem, v_mem, 1, return_weights=True)
             assert np.abs(first_pass.data - 1.0 / capacity).max() <= 1e-12
 

@@ -37,9 +37,9 @@ def test_project_memory_zero_buffer():
     rng = np.random.default_rng(0)
     w_q, w_k, w_v = (ad.glorot_uniform(rng, (4, 4)) for _ in range(3))
     bank = np.zeros((3, 4))
-    k_m, v_m = project_memory(bank, w_k, w_v, batch=2)
-    np.testing.assert_array_equal(k_m.data, np.zeros((2, 3, 4)))
-    np.testing.assert_array_equal(v_m.data, np.zeros((2, 3, 4)))
+    k_m, v_m = project_memory(bank, w_k, w_v)
+    np.testing.assert_array_equal(k_m.data, np.zeros((1, 3, 4)))
+    np.testing.assert_array_equal(v_m.data, np.zeros((1, 3, 4)))
 
 
 def test_project_memory_identity_and_tiling():
@@ -47,12 +47,17 @@ def test_project_memory_identity_and_tiling():
     w_q, w_k, w_v = (ad.glorot_uniform(rng, (4, 4)) for _ in range(3))
     w_k.data[:] = np.eye(4)
     bank = rng.standard_normal((3, 4))
-    k_m, v_m = project_memory(bank, w_k, w_v, batch=3)
-    for b in range(3):
-        np.testing.assert_array_equal(k_m.data[b], bank)
-        np.testing.assert_array_equal(v_m.data[b], v_m.data[0])
-    with pytest.raises(ValueError):
-        project_memory(bank, w_k, w_v, batch=0)
+    k_m, v_m = project_memory(bank, w_k, w_v)
+    assert k_m.shape == v_m.shape == (1, 3, 4)
+    np.testing.assert_array_equal(k_m.data[0], bank)
+    np.testing.assert_array_equal(v_m.data[0], bank @ w_v.data)
+    # one projection serves every query row: the same as tiling it per sample
+    q = ad.constant(rng.standard_normal((3, 2, 4)))
+    shared, shared_w = attend(q, k_m, v_m, heads=2, return_weights=True)
+    tiled = [ad.constant(np.repeat(t.data, 3, axis=0)) for t in (k_m, v_m)]
+    per_sample, per_sample_w = attend(q, *tiled, heads=2, return_weights=True)
+    np.testing.assert_array_equal(shared.data, per_sample.data)
+    np.testing.assert_array_equal(shared_w.data, per_sample_w.data)
 
 
 # -- attend -------------------------------------------------------------------
@@ -116,6 +121,10 @@ def test_attend_rejects_mismatches():
         attend(q, bank, bank, heads=3)
     with pytest.raises(ValueError):
         attend(q, ad.constant(np.zeros((1, 3, 6))), bank, heads=2)
+    # a bank batch is 1 (shared) or the query batch
+    pair = ad.constant(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError):
+        attend(ad.constant(np.zeros((3, 2, 4))), pair, pair, heads=2)
 
 
 def test_score_tensor_is_linear_in_bank_length():

@@ -329,3 +329,79 @@ def test_randomized_composite_grads():
             return ad.cross_entropy(out, labels)
 
         _check_grads(build, [x, w1, b1, w2, b2, g, bb], rtol=1e-4, atol=1e-7)
+
+
+
+# -- no_grad ----------------------------------------------------------------------
+
+
+def _every_primitive(a, b, w, gain, bias):
+    """One result per primitive, each fed trainable inputs."""
+    return [
+        ad.add(a, b),
+        ad.sub(a, b),
+        ad.mul(a, b),
+        ad.matmul(a, w),
+        ad.affine(a, w, bias),
+        ad.relu(a),
+        ad.softmax_rows(a),
+        ad.layer_norm(a, gain, bias),
+        ad.dropout(a, 0.5, np.random.default_rng(0), train=True),
+        ad.cross_entropy(a, np.array([0, 3, 1])),
+        ad.reshape(a, (4, 3)),
+        ad.transpose(a, (1, 0)),
+        ad.broadcast_to(a, (2, 3, 4)),
+        ad.concat([a, b], axis=0),
+        ad.narrow(a, 1, 1, 2),
+        ad.tensor_sum(a, axis=0),
+        ad.tensor_mean(a),
+    ]
+
+
+def _primitive_inputs():
+    rng = np.random.default_rng(7)
+    return [_param(rng, 3, 4), _param(rng, 3, 4), _param(rng, 4, 4), _param(rng, 4), _param(rng, 4)]
+
+
+def test_no_grad_results_are_constants_with_recorded_values():
+    inputs = _primitive_inputs()
+    recorded = _every_primitive(*inputs)
+    with ad.no_grad():
+        unrecorded = _every_primitive(*inputs)
+    assert len(unrecorded) == len(recorded)
+    for want, got in zip(recorded, unrecorded):
+        assert want.requires_grad and want._parents
+        assert got.requires_grad is False
+        assert got._parents == ()
+        assert got._grad_fn is None
+        assert got._op == want._op
+        np.testing.assert_array_equal(got.data, want.data)
+
+
+def test_no_grad_restores_recording_after_raise_and_nesting():
+    x = ad.parameter(np.array([2.0]))
+    with pytest.raises(RuntimeError, match="inside"):
+        with ad.no_grad():
+            raise RuntimeError("raised inside the block")
+    assert (x * x).requires_grad
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not (x * x).requires_grad
+        # leaving the inner block keeps the outer one in force
+        assert not (x * x).requires_grad
+    y = (x * x).sum()
+    assert y.requires_grad
+    y.backward()
+    np.testing.assert_allclose(x.grad, [4.0], rtol=1e-12)
+
+
+def test_no_grad_leaves_stay_trainable():
+    rng = np.random.default_rng(8)
+    with ad.no_grad():
+        p = ad.parameter(np.ones(3))
+        w = ad.glorot_uniform(rng, (3, 2))
+    assert p.requires_grad and w.requires_grad
+    loss = ad.tensor_sum(ad.matmul(ad.reshape(p, (1, 3)), w))
+    loss.backward()
+    np.testing.assert_allclose(p.grad, w.data.sum(axis=1), rtol=1e-12)
+    np.testing.assert_allclose(w.grad, np.ones((3, 2)), rtol=1e-12)

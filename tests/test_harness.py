@@ -173,6 +173,34 @@ def test_evaluate_is_pure(scene):
         np.testing.assert_array_equal(bank, banks_before[name])
 
 
+@pytest.mark.parametrize("attention", ["memory", "standard"])
+def test_read_only_forwards_record_no_graph(scene, keep_forwards, attention):
+    cube, _, manifest = scene
+    model = MemFormer(tiny_model_config(attention=attention, dropout=0.3))
+    rng = np.random.default_rng(12)
+    for name, bank in model.buffers().items():
+        model.set_buffer(name, 0.5 * rng.standard_normal(bank.shape))
+    calls = keep_forwards(model)
+    train(model, cube, manifest, quick_train_config())
+    train_steps = [out for _, is_train, out in calls if is_train]
+    accuracy_passes = [out for _, is_train, out in calls if not is_train]
+    assert train_steps and accuracy_passes
+    # the taped steps still record; the per-epoch accuracy passes do not
+    assert all(out.requires_grad for out in train_steps)
+    assert all(not out.requires_grad and out._parents == () for out in accuracy_passes)
+
+    calls.clear()
+    evaluate(model, cube, manifest.test, batch_size=5)
+    assert len(calls) == -(-len(manifest.test) // 5)
+    for batch, is_train, out in calls:
+        assert not is_train
+        assert not out.requires_grad and out._parents == ()
+        # the same values as an eval forward that records its graph
+        reference = MemFormer.forward(model, batch, train=False)
+        assert reference.requires_grad
+        np.testing.assert_array_equal(out.data, reference.data)
+
+
 def test_evaluate_report_fields(scene):
     cube, _, manifest = scene
     model = MemFormer(tiny_model_config())

@@ -165,6 +165,27 @@ def test_predict_argmax_and_ties():
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("attention", ["memory", "standard"])
+def test_predict_records_no_graph_and_matches_a_recording_forward(keep_forwards, attention):
+    cfg = _tiny_config(attention=attention, dropout=0.3)
+    model = MemFormer(cfg)
+    _seed_memory(model)
+    batch = _batch(cfg, 5)
+    reference = model.forward(batch, train=False)
+    assert reference.requires_grad
+    calls = keep_forwards(model)
+    labels = model.predict(batch)
+    probs = model.predict_proba(batch)
+    assert len(calls) == 2
+    for _, is_train, out in calls:
+        assert not is_train
+        assert not out.requires_grad and out._parents == ()
+        np.testing.assert_array_equal(out.data, reference.data)
+    np.testing.assert_array_equal(labels, np.argmax(reference.data, axis=1))
+    e = np.exp(reference.data - reference.data.max(axis=1, keepdims=True))
+    np.testing.assert_array_equal(probs, e / e.sum(axis=1, keepdims=True))
+
+
 def test_classifier_bias_shift_keeps_predictions():
     cfg = _tiny_config()
     model = MemFormer(cfg)
