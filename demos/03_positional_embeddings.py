@@ -1,11 +1,13 @@
 """Compare the four positional-embedding modes on one token grid and look
-inside the joint spatial-spectral encoding.
+inside the joint spatial-spectral encoding. Each mode gives one row per
+token; the model prepends the CLS row after adding them.
 """
 
 import numpy as np
 
 from memformer.data import synth_scene
 from memformer.embedding import (
+    PE_MODES,
     PatchProjector,
     PositionalEmbedding,
     sinusoid_encoding,
@@ -27,16 +29,13 @@ projector = PatchProjector(16, 2, 6, rng)
 z = projector.forward(tokens)
 print(f"projected batch shape: {z.shape} (ReLU output, so min = {z.data.min():.3f})")
 
-print("\n== the four embedding modes ==")
-for mode in ("none", "learnable", "sinusoidal1d", "sspe"):
-    pe = PositionalEmbedding(mode, 16, grid, np.random.default_rng(5))
+print("\n== the four embedding modes: one row per token, none for CLS ==")
+for mode in PE_MODES:
+    pe = PositionalEmbedding(mode, 16, grid, 6, np.random.default_rng(5))
     table = pe.forward(tokens)
-    row0 = table.data[0] if table.data.ndim == 2 else table.data[0, 0]
-    body = table.data[1:] if table.data.ndim == 2 else table.data[0, 1:]
-    print(
-        f"  {mode:12s} shape {str(table.shape):14s} "
-        f"cls row zero: {bool(np.all(row0 == 0))}, body norm {np.linalg.norm(body):.3f}"
-    )
+    rows = table.data if table.ndim == 2 else table.data[0]
+    print(f"  {mode}: shape {table.shape}, norm {np.linalg.norm(rows):.3f}; tokens 0-2, columns 0-5:")
+    print(np.round(rows[:3, :6], 3))
 
 print("\n== sinusoid schedule ==")
 enc = sinusoid_encoding(np.array([0.0, 1.0, 2.0]), 6)
@@ -44,7 +43,7 @@ print("positions 0..2, one row each of interleaved sin/cos pairs:")
 print(np.round(enc, 4))
 
 print("\n== spectral half of the joint mode reacts to band content ==")
-pe = PositionalEmbedding("sspe", 16, grid, np.random.default_rng(5))
+pe = PositionalEmbedding("sspe", 16, grid, 6, np.random.default_rng(5))
 flat = np.ones_like(tokens)  # uniform band energy
 spiky = tokens * np.eye(6)[0]  # all energy in band 0
 uniform_out = pe.forward(flat).data

@@ -5,10 +5,14 @@ throughout the test suite) are meaningless in float32. The compute graph is
 the web of parent links recorded on each result tensor; ``Tensor.backward``
 replays it once, in reverse topological order.
 
-Only the primitives the model actually needs are provided: matmul, softmax,
-layer norm, ReLU, affine, dropout, cross-entropy, plus the shape plumbing
-(reshape / transpose / broadcast / concat / narrow) required to wire an
-encoder together.
+Each primitive has one spelling, a module function (``add``, ``matmul``,
+``tensor_mean``, ...); ``Tensor`` has no operator overloads or shape methods.
+The model needs matmul, softmax, layer norm, ReLU, affine, dropout,
+cross-entropy, and the shape plumbing (reshape / transpose / broadcast /
+concat) that wires an encoder together. Nothing in the package calls
+``sub``, ``narrow`` or ``tensor_sum``; they stay because the benchmark
+tracer (``perfbench/tracer.py``) wraps them by name, and can go once it
+derives its targets from ``__all__`` (ROADMAP item 1).
 
 ``no_grad()`` switches recording off for a block: every primitive result
 made inside it is a constant with no parents and no ``grad_fn``, so each
@@ -50,6 +54,9 @@ __all__ = [
     "finite_diff_grad",
 ]
 
+# added to the variance in layer_norm before the square root
+LAYER_NORM_EPS = 1e-5
+
 
 class Tensor:
     """A dense float64 array plus the bookkeeping for backprop.
@@ -77,10 +84,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
@@ -88,9 +91,6 @@ class Tensor:
     def detach(self):
         """A constant tensor sharing this tensor's values."""
         return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self):
         """Populate ``grad`` for every reachable requires_grad ancestor.
@@ -113,43 +113,6 @@ class Tensor:
                 if parent.grad is None:
                     parent.grad = np.zeros_like(parent.data)
                 parent.grad += g
-
-    # -- operator sugar ---------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
 
 
 def constant(data):
@@ -314,7 +277,7 @@ def softmax_rows(logits):
     return _node(y, (logits,), grad_fn, "softmax")
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
+def layer_norm(x, gain, bias):
     """Normalise the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     n = x.shape[-1] if x.ndim else 0
@@ -322,12 +285,10 @@ def layer_norm(x, gain, bias, eps=1e-5):
         raise ValueError("layer_norm needs a non-empty last axis")
     if gain.shape != (n,) or bias.shape != (n,):
         raise ValueError(f"gain/bias must have shape ({n},), got {gain.shape} and {bias.shape}")
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 

@@ -12,8 +12,10 @@ ReLU convolution kernel. Four positional embedding modes are provided:
   column half); the token's mean absolute band energies weight per-band
   sinusoids; both are projected to K and fused by a small MLP.
 
-Every mode leaves row 0, the CLS position, at zero. The constant tables (the
-``none`` and ``sinusoidal1d`` rows, the sspe grid sinusoids) are built once.
+Every mode gives one row per token and none for the CLS token, which the
+model prepends after adding them. The constant tables (the ``none`` and
+``sinusoidal1d`` rows, the sspe grid and band-index sinusoids) are built
+once, read-only, at construction.
 """
 
 from __future__ import annotations
@@ -137,36 +139,42 @@ def sspe_spectral(profiles, embed_dim):
     (..., K_sigma). Weights are each profile normalized to sum 1; an all-zero
     profile falls back to uniform weights.
     """
+    weights = _band_weights(profiles)
+    bands = weights.shape[-1]
+    return weights @ sinusoid_encoding(np.arange(bands), _sspe_dims(embed_dim)[1], embed_dim)
+
+
+def _band_weights(profiles):
+    """Each (..., S) band profile normalized to sum 1; all-zero ones become uniform."""
     profiles = np.asarray(profiles, dtype=np.float64)
     if profiles.ndim < 1:
         raise ValueError(f"band profiles need a band axis, got shape {profiles.shape}")
     if (profiles < 0).any():
         raise ValueError("band profile entries must be >= 0")
-    bands = profiles.shape[-1]
     totals = profiles.sum(axis=-1, keepdims=True)
-    weights = np.where(totals == 0, 1.0 / bands, profiles / np.where(totals == 0, 1.0, totals))
-    return weights @ sinusoid_encoding(np.arange(bands), _sspe_dims(embed_dim)[1], embed_dim)
+    return np.where(totals == 0, 1.0 / profiles.shape[-1], profiles / np.where(totals == 0, 1.0, totals))
 
 
 class PositionalEmbedding:
     """One of the four positional modes over a grid x grid token layout.
 
-    ``forward`` takes the (B, N, w, w, S) tokens and returns an (N+1, K)
-    addend for the data-independent modes and (B, N+1, K) for sspe, whose
-    spectral half depends on each token's band energies. Row 0 is the CLS
-    position and is zero in every mode. The sspe raw spatial (K_s) and
-    spectral (K_sigma) features are projected to K and fused by an
-    affine(2K -> K) + ReLU + affine(K -> K) MLP.
+    ``forward`` takes the (B, N, w, w, S) tokens and returns one row per
+    token: an (N, K) table for the data-independent modes and (B, N, K) for
+    sspe, whose spectral half depends on each token's band energies. The
+    CLS row gets no positional row; the model prepends it afterwards. The
+    sspe raw spatial (K_s) and spectral (K_sigma) features are projected to
+    K and fused by an affine(2K -> K) + ReLU + affine(K -> K) MLP.
     """
 
-    def __init__(self, mode, embed_dim, grid, rng):
+    def __init__(self, mode, embed_dim, grid, bands, rng):
         if mode not in PE_MODES:
             raise ValueError(f"unknown positional mode {mode!r}, expected one of {PE_MODES}")
         self.mode = mode
-        self.embed_dim = embed_dim
         self.num_tokens = n = grid * grid
+        self.bands = bands
         self.fixed = None
         self.spatial = None
+        self.band_table = None
         self._params = {}
         if mode == "learnable":
             self._params["pos.table"] = ad.glorot_uniform(rng, (n, embed_dim))
@@ -183,11 +191,14 @@ class PositionalEmbedding:
             # (N, K_s) grid sinusoids of token i at row-major cell divmod(i, grid)
             self.spatial = sspe_spatial(*divmod(np.arange(n), grid), embed_dim)
             self.spatial.flags.writeable = False
+            # (S, K_sigma) sinusoids of each band index
+            self.band_table = sinusoid_encoding(np.arange(bands), k_sigma, embed_dim)
+            self.band_table.flags.writeable = False
         else:
-            self.fixed = np.zeros((n + 1, embed_dim))
+            self.fixed = np.zeros((n, embed_dim))
             if mode == "sinusoidal1d":
                 dim = 2 * ((embed_dim + 1) // 2)
-                self.fixed[1:] = sinusoid_encoding(np.arange(n), dim)[:, :embed_dim]
+                self.fixed[:] = sinusoid_encoding(np.arange(n), dim)[:, :embed_dim]
             self.fixed.flags.writeable = False
 
     def parameters(self):
@@ -197,22 +208,18 @@ class PositionalEmbedding:
         """Positional rows for a (B, N, w, w, S) token batch."""
         shape = np.shape(tokens)
         n = self.num_tokens
-        if len(shape) != 5 or shape[1] != n:
-            raise ValueError(f"expected (batch, {n}, w, w, bands) tokens, got shape {shape}")
+        if len(shape) != 5 or shape[1] != n or shape[4] != self.bands:
+            raise ValueError(f"expected (batch, {n}, w, w, {self.bands}) tokens, got shape {shape}")
         if self.fixed is not None:
             return ad.constant(self.fixed)
         p = self._params
         if self.mode == "learnable":
-            zero = ad.constant(np.zeros((1, self.embed_dim)))
-            return ad.concat([zero, p["pos.table"]], axis=0)
+            return p["pos.table"]
 
-        b = shape[0]
-        spatial = np.broadcast_to(self.spatial, (b,) + self.spatial.shape).copy()
+        spatial = np.broadcast_to(self.spatial, (shape[0],) + self.spatial.shape).copy()
         spa = ad.matmul(ad.constant(spatial), p["sspe.proj_spatial"])
-        profiles = np.abs(tokens).mean(axis=(2, 3))
-        spe = ad.matmul(ad.constant(sspe_spectral(profiles, self.embed_dim)), p["sspe.proj_spectral"])
+        spectral = _band_weights(np.abs(tokens).mean(axis=(2, 3))) @ self.band_table
+        spe = ad.matmul(ad.constant(spectral), p["sspe.proj_spectral"])
         joint = ad.concat([spa, spe], axis=-1)
         hidden = ad.relu(ad.affine(joint, p["sspe.fuse_w1"], p["sspe.fuse_b1"]))
-        rows = ad.affine(hidden, p["sspe.fuse_w2"], p["sspe.fuse_b2"])
-        zero = ad.constant(np.zeros((b, 1, self.embed_dim)))
-        return ad.concat([zero, rows], axis=1)
+        return ad.affine(hidden, p["sspe.fuse_w2"], p["sspe.fuse_b2"])

@@ -1,9 +1,10 @@
 """The assembled classifier and its checkpoint format.
 
-A batch of W_s x W_s x S windows is tokenized, projected, given a CLS token
-and positional rows, run through L encoder layers (attention block, then an
-FFN with its own residual LayerNorm), and classified from the mean of the
-final embedding rows. The attention block is either the memory-enhanced
+A batch of W_s x W_s x S windows is tokenized and projected; each token row
+gets its positional row, then a CLS row, which carries no positional row, is
+prepended. The N+1 rows run through L encoder layers (attention block, then
+an FFN with its own residual LayerNorm), and the logits are read from the
+mean of the final rows. The attention block is either the memory-enhanced
 variant or plain self-attention, selected per config for ablations.
 
 The pooled readout matters: memory attention never mixes tokens within a
@@ -140,7 +141,7 @@ class MemFormer:
         self.cls = ad.parameter(np.zeros(config.embed))
         self.projector = PatchProjector(config.embed, config.patch, config.bands, rng)
         self.positional = PositionalEmbedding(
-            config.pe_mode, config.embed, config.window // config.patch, rng
+            config.pe_mode, config.embed, config.window // config.patch, config.bands, rng
         )
         self.layers = [_EncoderLayer(config, rng) for _ in range(config.layers)]
         self.classifier_w = ad.glorot_uniform(rng, (config.embed, config.classes))
@@ -200,10 +201,9 @@ class MemFormer:
         b = batch.shape[0]
 
         tokens = tokenize_batch(batch, cfg.patch)
-        z = self.projector.forward(tokens)
+        z = ad.add(self.projector.forward(tokens), self.positional.forward(tokens))
         cls_row = ad.broadcast_to(ad.reshape(self.cls, (1, 1, cfg.embed)), (b, 1, cfg.embed))
         z = ad.concat([cls_row, z], axis=1)
-        z = ad.add(z, self.positional.forward(tokens))
 
         for i, layer in enumerate(self.layers):
             try:
@@ -225,9 +225,7 @@ class MemFormer:
     def predict_proba(self, batch):
         """Softmax class probabilities per window (eval mode)."""
         with ad.no_grad():
-            logits = self.forward(batch, train=False).data
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
+            return ad.softmax_rows(self.forward(batch, train=False)).data
 
 
 # -- checkpoint serialization ----------------------------------------------------

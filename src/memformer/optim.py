@@ -41,14 +41,18 @@ class Adam:
             p.grad = None
 
     def step(self):
-        """Apply one update from the gradients currently on the parameters."""
+        """Apply one update from the gradients currently on the parameters.
+
+        Every gradient is checked first, so a rejected step changes no state.
+        """
+        for name, p in self.params.items():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise ValueError(f"non-finite gradient for parameter {name!r}; step rejected")
         self.t += 1
         correction1 = 1.0 - self.beta1**self.t
         correction2 = 1.0 - self.beta2**self.t
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.isfinite(g).all():
-                raise ValueError(f"non-finite gradient for parameter {name!r}; step rejected")
             m = self.m[name]
             v = self.v[name]
             m *= self.beta1

@@ -223,6 +223,7 @@ def test_criterion_4_metric_oracle():
         assert cohens_kappa(worked) == 0.4
 
 
+@pytest.mark.slow
 def test_criterion_5_synthetic_overfit_run():
     with criterion(5, "synthetic overfit run"):
         started = time.perf_counter()

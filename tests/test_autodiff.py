@@ -15,7 +15,7 @@ def _check_grads(build, tensors, rtol=1e-5, atol=1e-8):
     """Backprop through ``build(*tensors)`` and compare with finite differences."""
     loss = build(*tensors)
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
     loss = build(*tensors)
     loss.backward()
     for t in tensors:
@@ -34,7 +34,7 @@ def test_add_broadcast_grad():
     b = _param(rng, 4)
 
     def build(a, b):
-        return ((a + b) * (a + b)).sum()
+        return ad.tensor_sum(ad.mul(ad.add(a, b), ad.add(a, b)))
 
     _check_grads(build, [a, b])
 
@@ -45,7 +45,8 @@ def test_sub_and_scalar_ops():
     b = _param(rng, 2, 5)
 
     def build(a, b):
-        return ((a - b) * 3.0 + (-a) + (1.0 - b)).sum()
+        scaled = ad.mul(ad.sub(a, b), 3.0)
+        return ad.tensor_sum(ad.add(ad.add(scaled, ad.mul(a, -1.0)), ad.sub(1.0, b)))
 
     _check_grads(build, [a, b])
 
@@ -56,7 +57,7 @@ def test_mul_broadcast_grad():
     b = _param(rng, 3, 1)
 
     def build(a, b):
-        return (a * b).sum()
+        return ad.tensor_sum(ad.mul(a, b))
 
     _check_grads(build, [a, b])
 
@@ -67,7 +68,7 @@ def test_matmul_grad():
     b = _param(rng, 3, 5)
 
     def build(a, b):
-        return (a @ b).sum()
+        return ad.tensor_sum(ad.matmul(a, b))
 
     _check_grads(build, [a, b])
 
@@ -78,7 +79,7 @@ def test_matmul_batched_broadcast_grad():
     b = _param(rng, 4, 5)
 
     def build(a, b):
-        return ((a @ b) * (a @ b)).sum()
+        return ad.tensor_sum(ad.mul(ad.matmul(a, b), ad.matmul(a, b)))
 
     _check_grads(build, [a, b])
 
@@ -95,7 +96,7 @@ def test_affine_grad():
     b = _param(rng, 4)
 
     def build(x, w, b):
-        return ad.affine(x, w, b).sum()
+        return ad.tensor_sum(ad.affine(x, w, b))
 
     _check_grads(build, [x, w, b])
 
@@ -108,7 +109,7 @@ def test_relu_grad_away_from_kink():
     assert np.abs(x.data).min() > 1e-3
 
     def build(x):
-        return ad.relu(x).sum()
+        return ad.tensor_sum(ad.relu(x))
 
     _check_grads(build, [x])
 
@@ -119,7 +120,7 @@ def test_softmax_rows_grad():
     v = ad.constant(rng.standard_normal((3, 6)))
 
     def build(x):
-        return (ad.softmax_rows(x) * v).sum()
+        return ad.tensor_sum(ad.mul(ad.softmax_rows(x), v))
 
     _check_grads(build, [x])
 
@@ -144,7 +145,7 @@ def test_layer_norm_grad():
     v = ad.constant(rng.standard_normal((4, 8)))
 
     def build(x, g, b):
-        return (ad.layer_norm(x, g, b) * v).sum()
+        return ad.tensor_sum(ad.mul(ad.layer_norm(x, g, b), v))
 
     _check_grads(build, [x, g, b], rtol=1e-4, atol=1e-7)
 
@@ -164,7 +165,7 @@ def test_layer_norm_validates_shapes():
     with pytest.raises(ValueError):
         ad.layer_norm(x, ad.constant(np.ones(4)), ad.constant(np.zeros(3)))
     with pytest.raises(ValueError):
-        ad.layer_norm(x, ad.constant(np.ones(3)), ad.constant(np.zeros(3)), eps=0.0)
+        ad.layer_norm(ad.constant(np.ones((2, 0))), ad.constant(np.ones(0)), ad.constant(np.zeros(0)))
 
 
 def test_cross_entropy_matches_manual():
@@ -208,7 +209,7 @@ def test_dropout_train_and_eval():
     # survivors are scaled by 1/keep, expectation preserved
     np.testing.assert_allclose(out.data[kept], 1.0 / 0.6, rtol=1e-12)
     assert abs(kept.mean() - 0.6) < 0.02
-    out.sum().backward()
+    ad.tensor_sum(out).backward()
     np.testing.assert_allclose(x.grad[kept], 1.0 / 0.6, rtol=1e-12)
     np.testing.assert_allclose(x.grad[~kept], 0.0, atol=0)
     with pytest.raises(ValueError):
@@ -221,7 +222,7 @@ def test_reshape_transpose_grad():
     v = ad.constant(rng.standard_normal((4, 2, 3)))
 
     def build(x):
-        return (ad.transpose(ad.reshape(x, (2, 3, 4)), (2, 0, 1)) * v).sum()
+        return ad.tensor_sum(ad.mul(ad.transpose(ad.reshape(x, (2, 3, 4)), (2, 0, 1)), v))
 
     _check_grads(build, [x])
 
@@ -232,7 +233,7 @@ def test_broadcast_to_grad():
     v = ad.constant(rng.standard_normal((3, 5, 4)))
 
     def build(x):
-        return (ad.broadcast_to(x, (3, 5, 4)) * v).sum()
+        return ad.tensor_sum(ad.mul(ad.broadcast_to(x, (3, 5, 4)), v))
 
     _check_grads(build, [x])
 
@@ -245,7 +246,7 @@ def test_concat_narrow_grad():
 
     def build(a, b):
         joined = ad.concat([a, b], axis=1)
-        return (ad.narrow(joined, 1, 2, 4) * v).sum()
+        return ad.tensor_sum(ad.mul(ad.narrow(joined, 1, 2, 4), v))
 
     _check_grads(build, [a, b])
 
@@ -264,7 +265,8 @@ def test_sum_mean_axis_grad():
     v = ad.constant(rng.standard_normal((3, 5)))
 
     def build(x):
-        return (x.sum(axis=1) * v).sum() + x.mean(axis=(0, 2)).sum() + x.mean()
+        summed = ad.tensor_sum(ad.mul(ad.tensor_sum(x, axis=1), v))
+        return ad.add(ad.add(summed, ad.tensor_sum(ad.tensor_mean(x, axis=(0, 2)))), ad.tensor_mean(x))
 
     _check_grads(build, [x])
 
@@ -272,16 +274,16 @@ def test_sum_mean_axis_grad():
 def test_diamond_graph_accumulates_once():
     # y = x*x used twice downstream: d/dx (x^2 + x^2) = 4x
     x = ad.parameter(np.array([3.0]))
-    y = x * x
-    z = (y + y).sum()
+    y = ad.mul(x, x)
+    z = ad.tensor_sum(ad.add(y, y))
     z.backward()
     np.testing.assert_allclose(x.grad, [12.0], rtol=1e-12)
 
 
 def test_detach_blocks_gradient():
     x = ad.parameter(np.array([2.0]))
-    y = (x * x).detach()
-    z = (y * x).sum()
+    y = ad.mul(x, x).detach()
+    z = ad.tensor_sum(ad.mul(y, x))
     z.backward()
     # only the direct factor contributes: d/dx (const * x) = const = 4
     np.testing.assert_allclose(x.grad, [4.0], rtol=1e-12)
@@ -290,13 +292,13 @@ def test_detach_blocks_gradient():
 def test_backward_requires_scalar():
     x = ad.parameter(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        (x * 2.0).backward()
+        ad.mul(x, 2.0).backward()
 
 
 def test_constants_never_accumulate_grad():
     c = ad.constant(np.ones(3))
     x = ad.parameter(np.ones(3))
-    (x * c).sum().backward()
+    ad.tensor_sum(ad.mul(x, c)).backward()
     assert c.grad is None
     np.testing.assert_allclose(x.grad, np.ones(3), rtol=1e-12)
 
@@ -306,8 +308,8 @@ def test_deep_chain_no_recursion_limit():
     x = ad.parameter(np.array([1.0]))
     y = x
     for _ in range(5000):
-        y = y + 0.0
-    y.sum().backward()
+        y = ad.add(y, 0.0)
+    ad.tensor_sum(y).backward()
     np.testing.assert_allclose(x.grad, [1.0], rtol=0)
 
 
@@ -324,7 +326,7 @@ def test_randomized_composite_grads():
         labels = rng.integers(0, 4, size=3)
 
         def build(x, w1, b1, w2, b2, g, bb):
-            h = ad.relu(ad.affine(x, w1, b1) + 0.7)
+            h = ad.relu(ad.add(ad.affine(x, w1, b1), 0.7))
             out = ad.layer_norm(ad.affine(h, w2, b2), g, bb)
             return ad.cross_entropy(out, labels)
 
@@ -383,13 +385,13 @@ def test_no_grad_restores_recording_after_raise_and_nesting():
     with pytest.raises(RuntimeError, match="inside"):
         with ad.no_grad():
             raise RuntimeError("raised inside the block")
-    assert (x * x).requires_grad
+    assert ad.mul(x, x).requires_grad
     with ad.no_grad():
         with ad.no_grad():
-            assert not (x * x).requires_grad
+            assert not ad.mul(x, x).requires_grad
         # leaving the inner block keeps the outer one in force
-        assert not (x * x).requires_grad
-    y = (x * x).sum()
+        assert not ad.mul(x, x).requires_grad
+    y = ad.tensor_sum(ad.mul(x, x))
     assert y.requires_grad
     y.backward()
     np.testing.assert_allclose(x.grad, [4.0], rtol=1e-12)

@@ -29,7 +29,7 @@ def test_tokenize_counts():
 
 def test_spatial_table_follows_row_major_grid():
     g, k = 3, 8
-    pe = PositionalEmbedding("sspe", embed_dim=k, grid=g, rng=np.random.default_rng(0))
+    pe = PositionalEmbedding("sspe", embed_dim=k, grid=g, bands=3, rng=np.random.default_rng(0))
     assert pe.spatial.shape == (g * g, 8)
     for i in range(g * g):
         np.testing.assert_array_equal(pe.spatial[i], sspe_spatial(i // g, i % g, k))
@@ -104,7 +104,7 @@ def test_project_gradients_match_finite_difference():
     v = rng.standard_normal((6, 4))
 
     def loss():
-        return (proj.forward(tokens) * ad.constant(v)).sum()
+        return ad.tensor_sum(ad.mul(proj.forward(tokens), ad.constant(v)))
 
     out = loss()
     out.backward()
@@ -205,8 +205,9 @@ def test_spectral_encoding_rejects_negative():
 def test_sspe_dims_round_up_for_odd_embed():
     assert sspe_spatial(0, 0, 15).shape == (16,)
     assert sspe_spectral(np.ones(3), 15).shape == (16,)
-    pe = PositionalEmbedding("sspe", embed_dim=15, grid=2, rng=np.random.default_rng(0))
+    pe = PositionalEmbedding("sspe", embed_dim=15, grid=2, bands=3, rng=np.random.default_rng(0))
     assert pe.parameters()["sspe.proj_spatial"].shape == (16, 15)
+    assert pe.band_table.shape == (3, 16)
 
 
 # -- positional embedding modes -----------------------------------------------------
@@ -216,34 +217,33 @@ def _fixture(mode, rng=None):
     rng = rng or np.random.default_rng(7)
     win = rng.standard_normal((1, 4, 4, 3))
     tokens = tokenize_batch(win, 2)
-    pe = PositionalEmbedding(mode, embed_dim=6, grid=2, rng=rng)
+    pe = PositionalEmbedding(mode, embed_dim=6, grid=2, bands=3, rng=rng)
     return pe, tokens
 
 
 def test_mode_none_is_zero():
     pe, tokens = _fixture("none")
     out = pe.forward(tokens)
-    assert out.shape == (5, 6)
-    np.testing.assert_array_equal(out.data, np.zeros((5, 6)))
+    assert out.shape == (4, 6)
+    np.testing.assert_array_equal(out.data, np.zeros((4, 6)))
 
 
 def test_mode_learnable_exposes_table():
     pe, tokens = _fixture("learnable")
     table = pe.parameters()["pos.table"]
     out = pe.forward(tokens)
-    assert out.shape == (5, 6)
-    np.testing.assert_array_equal(out.data[0], np.zeros(6))
-    np.testing.assert_array_equal(out.data[1:], table.data)
-    (out * ad.constant(np.ones((5, 6)))).sum().backward()
+    assert out.shape == (4, 6)
+    np.testing.assert_array_equal(out.data, table.data)
+    ad.tensor_sum(ad.mul(out, ad.constant(np.ones((4, 6))))).backward()
     np.testing.assert_array_equal(table.grad, np.ones((4, 6)))
 
 
 def test_mode_sinusoidal1d_index_zero():
     pe, tokens = _fixture("sinusoidal1d")
     out = pe.forward(tokens).data
-    np.testing.assert_array_equal(out[0], np.zeros(6))
-    np.testing.assert_array_equal(out[1], [0, 1, 0, 1, 0, 1])
-    np.testing.assert_allclose(out[2][0], np.sin(1.0), rtol=1e-15)
+    assert out.shape == (4, 6)
+    np.testing.assert_array_equal(out[0], [0, 1, 0, 1, 0, 1])
+    np.testing.assert_allclose(out[1][0], np.sin(1.0), rtol=1e-15)
 
 
 def test_mode_sspe_zero_mlp_collapses():
@@ -251,22 +251,20 @@ def test_mode_sspe_zero_mlp_collapses():
     pe.parameters()["sspe.fuse_w2"].data[:] = 0.0
     pe.parameters()["sspe.fuse_b2"].data[:] = 0.0
     out = pe.forward(tokens)
-    np.testing.assert_array_equal(out.data, np.zeros((1, 5, 6)))
-
-
-def test_all_modes_zero_cls_row():
-    for mode in PE_MODES:
-        pe, tokens = _fixture(mode)
-        out = pe.forward(tokens)
-        data = out.data if out.data.ndim == 2 else out.data[0]
-        assert data.shape == (5, 6)
-        np.testing.assert_array_equal(data[0], np.zeros(6))
+    np.testing.assert_array_equal(out.data, np.zeros((1, 4, 6)))
 
 
 def test_mode_sspe_rejects_unbatched_tokens():
     pe, tokens = _fixture("sspe")
     with pytest.raises(ValueError, match=r"\(4, 2, 2, 3\)"):
         pe.forward(tokens[0])
+
+
+def test_every_mode_rejects_a_different_band_count():
+    for mode in PE_MODES:
+        pe, tokens = _fixture(mode)
+        with pytest.raises(ValueError, match=r"\(1, 4, 2, 2, 2\)"):
+            pe.forward(tokens[..., :2])
 
 
 def test_mode_sspe_forward_builds_only_the_band_table(monkeypatch):
@@ -280,8 +278,10 @@ def test_mode_sspe_forward_builds_only_the_band_table(monkeypatch):
 
     monkeypatch.setattr(embedding, "sinusoid_encoding", counting)
     pe.forward(tokens)
-    # one (S, K_sigma) band table; the spatial grid table was built at construction
-    assert calls == [(3,)]
+    # the grid and band-index tables were both built at construction
+    assert calls == []
+    np.testing.assert_array_equal(pe.band_table, sinusoid_encoding(np.arange(3), 6))
+    assert not pe.band_table.flags.writeable
 
 
 def test_mode_sspe_deterministic_and_data_dependent():
@@ -296,10 +296,10 @@ def test_mode_sspe_deterministic_and_data_dependent():
 def test_mode_sspe_gradients_reach_every_parameter():
     rng = np.random.default_rng(8)
     pe, tokens = _fixture("sspe", rng)
-    v = rng.standard_normal((1, 5, 6))
+    v = rng.standard_normal((1, 4, 6))
 
     def loss():
-        return (pe.forward(tokens) * ad.constant(v)).sum()
+        return ad.tensor_sum(ad.mul(pe.forward(tokens), ad.constant(v)))
 
     loss().backward()
     for name, p in pe.parameters().items():
@@ -307,7 +307,7 @@ def test_mode_sspe_gradients_reach_every_parameter():
         assert np.abs(p.grad).max() > 0, name
 
     for name, p in pe.parameters().items():
-        p.zero_grad()
+        p.grad = None
     out = loss()
     out.backward()
     for name, p in pe.parameters().items():
@@ -317,4 +317,4 @@ def test_mode_sspe_gradients_reach_every_parameter():
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError, match="unknown positional mode"):
-        PositionalEmbedding("fourier", 6, 4, np.random.default_rng(0))
+        PositionalEmbedding("fourier", 6, 4, 3, np.random.default_rng(0))

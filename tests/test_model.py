@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from memformer import autodiff as ad
+from memformer.embedding import PE_MODES, tokenize_batch
 from memformer.model import (
     CheckpointError,
     MemFormer,
@@ -113,6 +114,32 @@ def test_forward_zero_layers_matches_hand_computation():
         pooled = np.stack(rows).mean(axis=0)
         want = pooled @ model.classifier_w.data + model.classifier_b.data
         np.testing.assert_allclose(logits[i], want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("pe_mode", PE_MODES)
+def test_layer0_input_is_cls_then_tokens_plus_positional_rows(pe_mode):
+    cfg = _tiny_config(pe_mode=pe_mode)
+    model = MemFormer(cfg)
+    model.cls.data[:] = np.random.default_rng(1).standard_normal(cfg.embed)
+    batch = _batch(cfg, 2)
+    layer = model.layers[0]
+    original = layer.forward
+    seen = []
+
+    def spy(z, train, rng):
+        seen.append(z.data.copy())
+        return original(z, train, rng)
+
+    layer.forward = spy
+    model.forward(batch)
+    (z,) = seen
+    assert z.shape == (2, cfg.tokens + 1, cfg.embed)
+    tokens = tokenize_batch(batch, cfg.patch)
+    rows = model.projector.forward(tokens).data + model.positional.forward(tokens).data
+    for sample in z:
+        # the CLS row carries no positional row
+        assert sample[0].tobytes() == model.cls.data.tobytes()
+    assert z[:, 1:].tobytes() == rows.tobytes()
 
 
 def test_forward_diagnostic_names_layer():

@@ -66,6 +66,29 @@ def test_nonfinite_gradient_rejected_by_name():
         opt.step()
 
 
+def test_rejected_step_changes_no_state():
+    # the bad gradient sits on the second parameter, after one that would step
+    params = _params({"a": [1.0, 1.0], "b": [1.0, 1.0]})
+    opt = Adam(params, lr=0.1, weight_decay=0.01)
+    params["a"].grad = np.array([1.0, 1.0])
+    params["b"].grad = np.array([1.0, 1.0])
+    opt.step()
+    before = {
+        "t": opt.t,
+        "m": {k: v.copy() for k, v in opt.m.items()},
+        "v": {k: v.copy() for k, v in opt.v.items()},
+        "data": {k: p.data.copy() for k, p in params.items()},
+    }
+    params["b"].grad = np.array([np.nan, 1.0])
+    with pytest.raises(ValueError, match="'b'"):
+        opt.step()
+    assert opt.t == before["t"]
+    for name, p in params.items():
+        assert opt.m[name].tobytes() == before["m"][name].tobytes()
+        assert opt.v[name].tobytes() == before["v"][name].tobytes()
+        assert p.data.tobytes() == before["data"][name].tobytes()
+
+
 def test_zero_grad_clears_all():
     params = _params({"a": [1.0], "b": [2.0]})
     opt = Adam(params)
@@ -82,8 +105,8 @@ def test_reduces_a_quadratic():
     opt = Adam({"w": w}, lr=0.05)
     for _ in range(400):
         opt.zero_grad()
-        diff = w - ad.constant(target)
-        (diff * diff).sum().backward()
+        diff = ad.sub(w, ad.constant(target))
+        ad.tensor_sum(ad.mul(diff, diff)).backward()
         opt.step()
     np.testing.assert_allclose(w.data, target, atol=1e-3)
 
