@@ -12,6 +12,13 @@ The bank is a plain (M_len, K) numpy array held by the block, oldest row
 first, never a graph node: updates are detached by construction and no
 gradient can reach stored entries.
 
+Each ``attend`` call records one autodiff node with a hand-written backward.
+The forward splits heads with reshape/transpose views and does the softmax
+in place in the score buffer. The backward repeats the grad ops of the
+equivalent chain of primitives (reshape, transpose, matmul, scale, softmax)
+in that chain's order, so values and gradients are bitwise those of the
+chain.
+
 Note that the all-zero initial bank is a fixed point of the update rule:
 zero entries give zero-valued attention output everywhere, and the mean of
 zeros appends another zero row. Training from scratch therefore leaves the
@@ -53,18 +60,14 @@ def project_memory(bank, w_k, w_v):
     return ad.matmul(m, w_k), ad.matmul(m, w_v)
 
 
-def _split_heads(x, heads):
-    b, t, k = x.shape
-    return ad.transpose(ad.reshape(x, (b, t, heads, k // heads)), (0, 2, 1, 3))
-
-
 def attend(q, k_mem, v_mem, heads, return_weights=False):
     """Scaled dot-product attention of queries against a key/value bank.
 
     ``q`` is (B, T, K); ``k_mem``/``v_mem`` are (B, L, K) or (1, L, K) where
     L is the bank length (M_len here, or T for self-attention); a batch of 1
     is shared by every query row. Scores are scaled by 1/sqrt(K/heads) per
-    head and softmaxed over the bank axis.
+    head and softmaxed over the bank axis. The weights come back as a
+    constant (B, h, T, L) tensor.
     """
     if q.ndim != 3 or k_mem.ndim != 3 or v_mem.ndim != 3:
         raise ValueError("attend expects rank-3 (batch, tokens, width) inputs")
@@ -73,17 +76,42 @@ def attend(q, k_mem, v_mem, heads, return_weights=False):
         raise ValueError(f"head count {heads} must divide width {k}")
     if k_mem.shape[0] not in (1, b) or k_mem.shape[2] != k or v_mem.shape != k_mem.shape:
         raise ValueError(f"bank shapes {k_mem.shape}, {v_mem.shape} do not match queries {q.shape}")
-    qh = _split_heads(q, heads)
-    kh = _split_heads(k_mem, heads)
-    vh = _split_heads(v_mem, heads)
-    scale = 1.0 / np.sqrt(k // heads)
-    scores = ad.mul(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), scale)
-    weights = ad.softmax_rows(scores)
-    out = ad.matmul(weights, vh)
-    out = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (b, t, k))
+    d = k // heads
+    bank_shape = k_mem.shape
+    n, length = bank_shape[:2]
+    qh = q.data.reshape(b, t, heads, d).transpose(0, 2, 1, 3)
+    kh = k_mem.data.reshape(n, length, heads, d).transpose(0, 2, 1, 3)
+    vh = v_mem.data.reshape(n, length, heads, d).transpose(0, 2, 1, 3)
+    scale = 1.0 / np.sqrt(d)
+    weights = qh @ kh.transpose(0, 1, 3, 2)
+    weights *= scale
+    ad._softmax(weights, weights)
+    out = (weights @ vh).transpose(0, 2, 1, 3).reshape(b, t, k)
+
+    def grad_fn(g):
+        # the chain's output gradient reached its weighted-sum matmul as a
+        # contiguous (B, h, T, d) buffer; BLAS sees the same layout here
+        g_out = np.ascontiguousarray(g.reshape(b, t, heads, d).transpose(0, 2, 1, 3))
+        g_q = g_k = g_v = None
+        if v_mem.requires_grad:
+            g_vh = ad._unbroadcast(np.swapaxes(weights, -1, -2) @ g_out, vh.shape)
+            g_v = g_vh.transpose(0, 2, 1, 3).reshape(bank_shape)
+        if q.requires_grad or k_mem.requires_grad:
+            g_s = g_out @ np.swapaxes(vh, -1, -2)
+            g_s -= (g_s * weights).sum(axis=-1, keepdims=True)
+            g_s *= weights
+            g_s *= scale
+            if q.requires_grad:
+                g_q = (g_s @ kh).transpose(0, 2, 1, 3).reshape(b, t, k)
+            if k_mem.requires_grad:
+                g_kt = ad._unbroadcast(np.swapaxes(qh, -1, -2) @ g_s, (n, heads, d, length))
+                g_k = g_kt.transpose(0, 3, 1, 2).reshape(bank_shape)
+        return g_q, g_k, g_v
+
+    node = ad._node(out, (q, k_mem, v_mem), grad_fn, "attend")
     if return_weights:
-        return out, weights
-    return out
+        return node, ad.constant(weights)
+    return node
 
 
 def residual_norm(x, y, gain, bias, rate=0.0, rng=None, train=False):

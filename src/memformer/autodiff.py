@@ -10,9 +10,15 @@ Each primitive has one spelling, a module function (``add``, ``matmul``,
 The model needs matmul, softmax, layer norm, ReLU, affine, dropout,
 cross-entropy, and the shape plumbing (reshape / transpose / broadcast /
 concat) that wires an encoder together. Nothing in the package calls
-``sub``, ``narrow`` or ``tensor_sum``; they stay because the benchmark
-tracer (``perfbench/tracer.py``) wraps them by name, and can go once it
-derives its targets from ``__all__`` (ROADMAP item 1).
+``sub``, ``mul``, ``narrow`` or ``tensor_sum``; they stay because the
+benchmark tracer (``perfbench/tracer.py``) wraps them by name, and can go
+once it derives its targets from ``__all__`` (ROADMAP item 1).
+
+A node's ``grad_fn`` returns one gradient per parent, or ``None`` for a
+parent that needs none. ``backward`` assigns a parent's first gradient as
+returned and adds later ones out of place, so a returned array may alias
+another node's gradient (``add`` hands the same one to both parents) and no
+gradient array is ever written to after it is handed over.
 
 ``no_grad()`` switches recording off for a block: every primitive result
 made inside it is a constant with no parents and no ``grad_fn``, so each
@@ -96,7 +102,9 @@ class Tensor:
         """Populate ``grad`` for every reachable requires_grad ancestor.
 
         Only defined for scalar results (a loss). Each recorded primitive is
-        visited exactly once, in reverse topological order.
+        visited exactly once, in reverse topological order. Gradients add
+        onto any ``grad`` already present, so two backward passes without
+        clearing it sum.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.data.shape}")
@@ -110,9 +118,7 @@ class Tensor:
             for parent, g in zip(node._parents, node._grad_fn(node.grad)):
                 if g is None or not parent.requires_grad:
                     continue
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += g
+                parent.grad = g if parent.grad is None else parent.grad + g
 
 
 def constant(data):
@@ -232,9 +238,9 @@ def matmul(a, b):
         raise ValueError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
 
     def grad_fn(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if b.requires_grad else None
+        return ga, gb
 
     return _node(a.data @ b.data, (a, b), grad_fn, "matmul")
 
@@ -258,17 +264,25 @@ def relu(x):
     return _node(out, (x,), grad_fn, "relu")
 
 
+def _softmax(x, out):
+    """Softmax of ``x`` over its last axis, stabilised by max-subtraction,
+    written into ``out`` and returned. ``out`` may be ``x`` itself, so the
+    whole softmax needs no buffer beyond the result."""
+    if not np.isfinite(x).all():
+        raise ValueError("softmax input contains non-finite values")
+    np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
 def softmax_rows(logits):
     """Softmax over the last axis, stabilised by max-subtraction."""
     logits = _as_tensor(logits)
     x = logits.data
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ValueError(f"softmax needs a non-empty last axis, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("softmax input contains non-finite values")
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax(x, np.empty_like(x))
 
     def grad_fn(g):
         dot = (g * y).sum(axis=-1, keepdims=True)

@@ -137,6 +137,88 @@ def test_score_tensor_is_linear_in_bank_length():
     assert w_self.shape == (2, 2, 9, 9)
 
 
+def _chain_attend(q, k_mem, v_mem, heads, return_weights=False):
+    """``attend`` as a chain of autodiff primitives, one node per step: the
+    reference the fused node must reproduce bit for bit."""
+    b, t, k = q.shape
+
+    def split(x):
+        return ad.transpose(ad.reshape(x, x.shape[:2] + (heads, k // heads)), (0, 2, 1, 3))
+
+    qh, kh, vh = split(q), split(k_mem), split(v_mem)
+    scores = ad.mul(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(k // heads))
+    weights = ad.softmax_rows(scores)
+    out = ad.reshape(ad.transpose(ad.matmul(weights, vh), (0, 2, 1, 3)), (b, t, k))
+    return (out, weights) if return_weights else out
+
+
+# (query batch, bank batch, heads): a shared (1, L, K) bank and per-sample keys
+_ATTEND_CASES = [(3, 1, 1), (3, 1, 2), (2, 2, 1), (2, 2, 4)]
+
+
+@pytest.mark.parametrize("batch, bank_batch, heads", _ATTEND_CASES)
+def test_attend_gradients_match_finite_difference(batch, bank_batch, heads):
+    rng = np.random.default_rng(19)
+    q = ad.parameter(rng.standard_normal((batch, 3, 4)))
+    k_m = ad.parameter(rng.standard_normal((bank_batch, 5, 4)))
+    v_m = ad.parameter(rng.standard_normal((bank_batch, 5, 4)))
+    probe = ad.constant(rng.standard_normal((batch, 3, 4)))
+
+    def loss():
+        return ad.tensor_sum(ad.mul(attend(q, k_m, v_m, heads), probe))
+
+    loss().backward()
+    for name, x in (("q", q), ("k_mem", k_m), ("v_mem", v_m)):
+        want = ad.finite_diff_grad(lambda _x: loss(), x).data
+        np.testing.assert_allclose(x.grad, want, rtol=1e-6, atol=1e-9, err_msg=name)
+
+
+@pytest.mark.parametrize("batch, bank_batch, heads", _ATTEND_CASES)
+def test_attend_is_bitwise_the_primitive_chain(batch, bank_batch, heads):
+    rng = np.random.default_rng(20)
+    inputs = [rng.standard_normal(s) for s in ((batch, 6, 8), (bank_batch, 7, 8), (bank_batch, 7, 8))]
+    probe = ad.constant(rng.standard_normal((batch, 6, 8)))
+    results = []
+    for fn in (attend, _chain_attend):
+        q, k_m, v_m = (ad.parameter(x.copy()) for x in inputs)
+        out, weights = fn(q, k_m, v_m, heads, return_weights=True)
+        ad.tensor_sum(ad.mul(out, probe)).backward()
+        results.append([out.data, weights.data, q.grad, k_m.grad, v_m.grad])
+    for name, got, want in zip(("out", "weights", "q", "k_mem", "v_mem"), *results):
+        assert np.array_equal(got, want), name
+
+
+def test_attend_self_attention_accumulates_like_the_chain():
+    # q, k and v share one input, which also feeds the residual, as in
+    # StandardAttention: its gradient sums four contributions in a fixed order
+    rng = np.random.default_rng(21)
+    z0 = rng.standard_normal((2, 5, 8))
+    w0 = [rng.standard_normal((8, 8)) for _ in range(3)]
+    probe = ad.constant(rng.standard_normal((2, 5, 8)))
+    grads = []
+    for fn in (attend, _chain_attend):
+        z = ad.parameter(z0.copy())
+        ws = [ad.parameter(w.copy()) for w in w0]
+        q, k, v = (ad.matmul(z, w) for w in ws)
+        ad.tensor_sum(ad.mul(ad.add(q, fn(q, k, v, 2)), probe)).backward()
+        grads.append([z.grad] + [w.grad for w in ws])
+    for got, want in zip(*grads):
+        assert np.array_equal(got, want)
+
+
+def test_attend_under_no_grad_records_nothing():
+    rng = np.random.default_rng(22)
+    q, k_m, v_m = (ad.parameter(rng.standard_normal(s)) for s in ((2, 3, 4), (1, 5, 4), (1, 5, 4)))
+    recorded, recorded_w = attend(q, k_m, v_m, 2, return_weights=True)
+    with ad.no_grad():
+        out, w = attend(q, k_m, v_m, 2, return_weights=True)
+    assert recorded.requires_grad and recorded._parents == (q, k_m, v_m)
+    assert not out.requires_grad and out._parents == () and out._grad_fn is None
+    assert not recorded_w.requires_grad and not w.requires_grad
+    np.testing.assert_array_equal(out.data, recorded.data)
+    np.testing.assert_array_equal(w.data, recorded_w.data)
+
+
 # -- residual_norm ---------------------------------------------------------------
 
 

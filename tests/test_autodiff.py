@@ -280,6 +280,28 @@ def test_diamond_graph_accumulates_once():
     np.testing.assert_allclose(x.grad, [12.0], rtol=1e-12)
 
 
+def test_shared_upstream_grad_stays_unaliased():
+    # add hands one upstream array to both a and b; a also feeds a mul, so
+    # its second contribution must not be added into the array b holds
+    a = ad.parameter(np.array([1.0, 2.0]))
+    b = ad.parameter(np.array([3.0, 4.0]))
+    c = ad.constant(np.array([5.0, 7.0]))
+    ad.tensor_sum(ad.add(ad.add(a, b), ad.mul(a, c))).backward()
+    np.testing.assert_array_equal(a.grad, [6.0, 8.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+    assert not np.shares_memory(a.grad, b.grad)
+
+
+def test_second_backward_sums_onto_the_first():
+    x = ad.parameter(np.array([1.0, -2.0]))
+    ad.tensor_sum(ad.add(x, 3.0)).backward()
+    first = x.grad
+    ad.tensor_sum(ad.mul(x, ad.constant(np.array([2.0, 5.0])))).backward()
+    np.testing.assert_array_equal(x.grad, [3.0, 6.0])
+    # the first pass's array is replaced, never written to
+    np.testing.assert_array_equal(first, [1.0, 1.0])
+
+
 def test_detach_blocks_gradient():
     x = ad.parameter(np.array([2.0]))
     y = ad.mul(x, x).detach()
@@ -301,6 +323,11 @@ def test_constants_never_accumulate_grad():
     ad.tensor_sum(ad.mul(x, c)).backward()
     assert c.grad is None
     np.testing.assert_allclose(x.grad, np.ones(3), rtol=1e-12)
+    # matmul does not even compute the gradient of a constant operand
+    m = ad.matmul(ad.reshape(x, (1, 3)), ad.constant(np.ones((3, 2))))
+    g_x, g_c = m._grad_fn(np.ones((1, 2)))
+    assert g_c is None
+    np.testing.assert_array_equal(g_x, [[2.0, 2.0, 2.0]])
 
 
 def test_deep_chain_no_recursion_limit():
