@@ -1,6 +1,6 @@
 """Poke at the memory-conditioned attention block: uniform first-pass
-weights on an empty bank, the FIFO update, the two-pass training forward,
-and the bank, a plain (capacity, width) array, staying outside the
+weights on an empty bank, the FIFO update, the two-pass training forward
+(each forward returns its output and its first-pass weights), and the bank, a plain (capacity, width) array, staying outside the
 gradient graph.
 """
 
@@ -16,7 +16,7 @@ bank = np.zeros((4, 8))
 w_q, w_k, w_v = (ad.glorot_uniform(rng, (8, 8)) for _ in range(3))
 q = ad.matmul(ad.constant(rng.standard_normal((1, 3, 8))), w_q)
 k_mem, v_mem = project_memory(bank, w_k, w_v)
-out, attn_weights = attend(q, k_mem, v_mem, 2, return_weights=True)
+out, attn_weights = attend(q, k_mem, v_mem, 2)
 print(f"keys are projected once and shared by the batch: shape {k_mem.shape}")
 print(f"every weight equals 1/capacity = {1 / 4}: {bool(np.allclose(attn_weights.data, 0.25))}")
 print(f"and the output is all zeros: {bool(np.all(out.data == 0.0))}")
@@ -36,14 +36,15 @@ block = MemoryAttention(8, 2, 4, rng, dropout_rate=0.0)
 block.memory = rng.standard_normal((4, 8))
 z = ad.constant(rng.standard_normal((2, 3, 8)))
 bank_before = block.memory.copy()
-out_train = block.forward(z, train=True)
+out_train, _ = block.forward(z, train=True)
 print(f"training forward updated the bank: {not np.array_equal(block.memory, bank_before)}")
 bank_after_train = block.memory.copy()
-out_eval = block.forward(z, train=False)
+out_eval, first_weights = block.forward(z, train=False)
 print(f"eval forward left it alone: {bool(np.array_equal(block.memory, bank_after_train))}")
+print(f"each forward also returns its first-pass weights (B, h, T, M_len): {first_weights.shape}")
 
 print("\n== the bank never receives gradients ==")
-loss = ad.tensor_sum(block.forward(z, train=False))
+loss = ad.tensor_sum(block.forward(z, train=False)[0])
 loss.backward()
 has_grads = all(p.grad is not None for p in block.parameters('blk').values())
 print(f"all block parameters got gradients: {has_grads}")

@@ -17,7 +17,9 @@ The forward splits heads with reshape/transpose views and does the softmax
 in place in the score buffer. The backward repeats the grad ops of the
 equivalent chain of primitives (reshape, transpose, matmul, scale, softmax)
 in that chain's order, so values and gradients are bitwise those of the
-chain.
+chain. ``attend`` always returns its softmax weights too, as a constant, so
+every block's ``forward`` returns ``(output, weights)``; the memory block's
+weights are those of its first pass.
 
 Note that the all-zero initial bank is a fixed point of the update rule:
 zero entries give zero-valued attention output everywhere, and the mean of
@@ -60,14 +62,14 @@ def project_memory(bank, w_k, w_v):
     return ad.matmul(m, w_k), ad.matmul(m, w_v)
 
 
-def attend(q, k_mem, v_mem, heads, return_weights=False):
+def attend(q, k_mem, v_mem, heads):
     """Scaled dot-product attention of queries against a key/value bank.
 
     ``q`` is (B, T, K); ``k_mem``/``v_mem`` are (B, L, K) or (1, L, K) where
     L is the bank length (M_len here, or T for self-attention); a batch of 1
     is shared by every query row. Scores are scaled by 1/sqrt(K/heads) per
-    head and softmaxed over the bank axis. The weights come back as a
-    constant (B, h, T, L) tensor.
+    head and softmaxed over the bank axis. Returns ``(out, weights)``: the
+    (B, T, K) output node and the weights as a constant (B, h, T, L) tensor.
     """
     if q.ndim != 3 or k_mem.ndim != 3 or v_mem.ndim != 3:
         raise ValueError("attend expects rank-3 (batch, tokens, width) inputs")
@@ -108,10 +110,7 @@ def attend(q, k_mem, v_mem, heads, return_weights=False):
                 g_k = g_kt.transpose(0, 3, 1, 2).reshape(bank_shape)
         return g_q, g_k, g_v
 
-    node = ad._node(out, (q, k_mem, v_mem), grad_fn, "attend")
-    if return_weights:
-        return node, ad.constant(weights)
-    return node
+    return ad._node(out, (q, k_mem, v_mem), grad_fn, "attend"), ad.constant(weights)
 
 
 def residual_norm(x, y, gain, bias, rate=0.0, rng=None, train=False):
@@ -138,7 +137,8 @@ class _AttentionBlock:
     """Projections, residual LayerNorm and dropout shared by both blocks.
 
     Subclasses define ``forward``, which differs only in where keys and
-    values come from, and finish it with ``residual_norm``.
+    values come from, finishes with ``residual_norm`` and returns the
+    block output with its attention weights.
     """
 
     def __init__(self, embed_dim, heads, rng, dropout_rate=0.1):
@@ -176,8 +176,8 @@ class MemoryAttention(_AttentionBlock):
         super().__init__(embed_dim, heads, rng, dropout_rate)
         self.memory = np.zeros((capacity, embed_dim))
 
-    def forward(self, z, train=False, rng=None, return_weights=False):
-        """(B, N+1, K) tokens -> (B, N+1, K) block output.
+    def forward(self, z, train=False, rng=None):
+        """(B, N+1, K) tokens -> ((B, N+1, K) block output, first-pass weights).
 
         Train mode performs the FIFO refresh and second attention pass, then
         applies dropout to the attention output before the residual.
@@ -189,15 +189,12 @@ class MemoryAttention(_AttentionBlock):
         # records no graph; the loss sees the second pass
         with ad.no_grad() if train else contextlib.nullcontext():
             k_m, v_m = project_memory(self.memory, self.w_k, self.w_v)
-            attn, first_weights = attend(q, k_m, v_m, self.heads, return_weights=True)
+            attn, weights = attend(q, k_m, v_m, self.heads)
         if train:
             self.memory = update_memory(self.memory, attn)
             k_m, v_m = project_memory(self.memory, self.w_k, self.w_v)
-            attn = attend(q, k_m, v_m, self.heads)
-        out = residual_norm(q, attn, self.gain, self.bias, self.dropout_rate, rng, train)
-        if return_weights:
-            return out, first_weights
-        return out
+            attn, _ = attend(q, k_m, v_m, self.heads)
+        return residual_norm(q, attn, self.gain, self.bias, self.dropout_rate, rng, train), weights
 
 
 class StandardAttention(_AttentionBlock):
@@ -207,14 +204,11 @@ class StandardAttention(_AttentionBlock):
     is B x h x (N+1) x (N+1) and there is no memory state.
     """
 
-    def forward(self, z, train=False, rng=None, return_weights=False):
+    def forward(self, z, train=False, rng=None):
         if z.ndim != 3:
             raise ValueError(f"expected (batch, tokens, width) input, got {z.shape}")
         q = ad.matmul(z, self.w_q)
         k = ad.matmul(z, self.w_k)
         v = ad.matmul(z, self.w_v)
-        attn, weights = attend(q, k, v, self.heads, return_weights=True)
-        out = residual_norm(q, attn, self.gain, self.bias, self.dropout_rate, rng, train)
-        if return_weights:
-            return out, weights
-        return out
+        attn, weights = attend(q, k, v, self.heads)
+        return residual_norm(q, attn, self.gain, self.bias, self.dropout_rate, rng, train), weights

@@ -336,6 +336,13 @@ def dropout(x, rate, rng, train):
     return _node(x.data * mask, (x,), grad_fn, "dropout")
 
 
+def _nll(x, labels):
+    """Per-row NLL of ``labels`` under (B, C) logits ``x``, and the (B, 1) log-sum-exp."""
+    m = x.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(x - m).sum(axis=-1, keepdims=True)) + m
+    return lse[:, 0] - x[np.arange(len(x)), labels], lse
+
+
 def cross_entropy(logits, labels):
     """Mean cross-entropy of integer labels, with softmax fused in log-sum-exp form."""
     logits = _as_tensor(logits)
@@ -348,15 +355,12 @@ def cross_entropy(logits, labels):
         raise ValueError(f"labels must have shape ({batch},), got {labels.shape}")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= x.shape[1]:
         raise ValueError("labels out of range for the logit width")
-    m = x.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(x - m).sum(axis=-1, keepdims=True)) + m
-    rows = np.arange(batch)
-    nll = lse[:, 0] - x[rows, labels]
+    nll, lse = _nll(x, labels)
     out = nll.mean()
 
     def grad_fn(g):
         p = np.exp(x - lse)
-        p[rows, labels] -= 1.0
+        p[np.arange(batch), labels] -= 1.0
         return (g * p / batch,)
 
     return _node(out, (logits,), grad_fn, "cross_entropy")
@@ -422,38 +426,39 @@ def narrow(x, axis, start, length):
     return _node(x.data[index].copy(), (x,), grad_fn, "narrow")
 
 
-def tensor_sum(x, axis=None, keepdims=False):
+def tensor_sum(x, axis=None):
     x = _as_tensor(x)
 
     def grad_fn(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.data.shape).copy(),)
 
-    return _node(x.data.sum(axis=axis, keepdims=keepdims), (x,), grad_fn, "sum")
+    return _node(x.data.sum(axis=axis), (x,), grad_fn, "sum")
 
 
-def tensor_mean(x, axis=None, keepdims=False):
+def tensor_mean(x, axis=None):
     x = _as_tensor(x)
     count = x.data.size if axis is None else np.prod([x.data.shape[a] for a in np.atleast_1d(axis)])
 
     def grad_fn(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.data.shape).copy() / count,)
 
-    return _node(x.data.mean(axis=axis, keepdims=keepdims), (x,), grad_fn, "mean")
+    return _node(x.data.mean(axis=axis), (x,), grad_fn, "mean")
 
 
 # -- gradient oracle ----------------------------------------------------------
 
 
-def finite_diff_grad(f, x, step=1e-5):
+def finite_diff_grad(f, x):
     """Central-difference gradient of a scalar function at ``x``.
 
     ``f`` is called with ``x`` after nudging ``x.data`` in place, so it must
     be a pure function of the tensor's current values. Test-only oracle.
     """
+    step = 1e-5
     base = x.data.reshape(-1)
     grad = np.zeros_like(x.data)
     flat = grad.reshape(-1)

@@ -225,16 +225,16 @@ def synth_scene(height, width, bands, classes, noise_sigma=0.05, blob_count=3, s
 # -- window extraction -------------------------------------------------------
 
 
-def _mirror_indices(start, length, extent):
-    """Absolute indices [start, start+length) folded into [0, extent) by
-    edge-repeating reflection ([a b c] pads to ... b a | a b c | c b a ...)."""
-    idx = np.arange(start, start + length)
+def _mirror_indices(idx, extent):
+    """Absolute indices folded into [0, extent) by edge-repeating reflection
+    ([a b c] pads to ... b a | a b c | c b a ...)."""
     idx = np.mod(idx, 2 * extent)
     return np.where(idx >= extent, 2 * extent - 1 - idx, idx)
 
 
 def extract_window(cube, row, col, size):
-    """The size x size x S window centered at (row, col).
+    """The size x size x S window centered at (row, col), or (..., size,
+    size, S) windows for integer arrays of centers that broadcast together.
 
     The window starts size//2 pixels up and left of the center; positions
     falling outside the cube are filled by mirror reflection at the edges.
@@ -246,11 +246,15 @@ def extract_window(cube, row, col, size):
             f"window size {size} exceeds twice the smaller scene extent "
             f"({cube.height}x{cube.width})"
         )
-    if not (0 <= row < cube.height and 0 <= col < cube.width):
+    rows, cols = np.broadcast_arrays(row, col)
+    outside = (rows < 0) | (rows >= cube.height) | (cols < 0) | (cols >= cube.width)
+    if outside.any():
+        row, col = rows[outside][0], cols[outside][0]
         raise ValueError(f"center ({row}, {col}) outside a {cube.height}x{cube.width} scene")
-    r = _mirror_indices(row - size // 2, size, cube.height)
-    c = _mirror_indices(col - size // 2, size, cube.width)
-    return cube.values[np.ix_(r, c)].astype(np.float64)
+    offsets = np.arange(size) - size // 2
+    r = _mirror_indices(rows[..., None] + offsets, cube.height)
+    c = _mirror_indices(cols[..., None] + offsets, cube.width)
+    return cube.values[r[..., :, None], c[..., None, :]].astype(np.float64)
 
 
 # -- stratified splitting -----------------------------------------------------

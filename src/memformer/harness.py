@@ -65,10 +65,14 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        # each test is written so that NaN fails it
+        for name in ("lr", "weight_decay"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -90,11 +94,7 @@ class TrainResult:
 
 def extract_samples(cube, part, window):
     """Windows and 0-based labels for one manifest split (possibly empty)."""
-    if len(part) == 0:
-        return np.zeros((0, window, window, cube.bands)), np.zeros(0, dtype=np.int64)
-    windows = np.stack([extract_window(cube, r, c, window) for r, c, _ in part])
-    labels = np.asarray(part[:, 2], dtype=np.int64) - 1
-    return windows, labels
+    return extract_window(cube, part[:, 0], part[:, 1], window), part[:, 2] - 1
 
 
 def _batched_logits(model, windows, batch_size):
@@ -158,9 +158,7 @@ def train(model, cube, manifest, cfg):
                 raise ValueError(f"epoch {epoch}: non-finite training loss")
             loss.backward()
             opt.step()
-            peak = logits.data.max(axis=1, keepdims=True)
-            lse = peak[:, 0] + np.log(np.exp(logits.data - peak).sum(axis=1))
-            sample_losses[idx] = lse - logits.data[np.arange(len(idx)), y_train[idx]]
+            sample_losses[idx] = ad._nll(logits.data, y_train[idx])[0]
         train_loss = float(sample_losses.mean())
         _, train_acc = _eval_loss_acc(model, x_train, y_train, cfg.batch_size)
         val_loss, val_acc = _eval_loss_acc(model, x_val, y_val, cfg.batch_size)

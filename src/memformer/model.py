@@ -112,7 +112,7 @@ class _EncoderLayer:
         return ad.affine(ad.relu(ad.affine(x, self.ffn_w1, self.ffn_b1)), self.ffn_w2, self.ffn_b2)
 
     def forward(self, z, train, rng):
-        a = self.attn.forward(z, train=train, rng=rng)
+        a, _ = self.attn.forward(z, train=train, rng=rng)
         return residual_norm(a, self.ffn(a), self.ln_gain, self.ln_bias, self.dropout, rng, train)
 
     def parameters(self, prefix):
@@ -232,18 +232,17 @@ class MemFormer:
 
 _MAGIC = b"MFCK"
 _CONFIG_INTS = ("window", "patch", "bands", "embed", "layers", "heads", "ffn", "memory", "classes")
+# the config block: the nine sizes, dropout, pe_mode and attention indices, seed
+_CONFIG_BLOCK = struct.Struct("<9IdBBq")
 
 
 def save_checkpoint(model, path):
     """Write config, parameters, and memory banks as one MFCK file."""
     cfg = model.config
-    blob = bytearray()
-    blob += _MAGIC
+    blob = bytearray(_MAGIC)
     blob += struct.pack("<H", CHECKPOINT_VERSION)
-    blob += struct.pack("<9I", *(getattr(cfg, n) for n in _CONFIG_INTS))
-    blob += struct.pack("<d", cfg.dropout)
-    blob += struct.pack("<BB", PE_MODES.index(cfg.pe_mode), ATTENTION_MODES.index(cfg.attention))
-    blob += struct.pack("<q", cfg.seed)
+    modes = PE_MODES.index(cfg.pe_mode), ATTENTION_MODES.index(cfg.attention)
+    blob += _CONFIG_BLOCK.pack(*(getattr(cfg, n) for n in _CONFIG_INTS), cfg.dropout, *modes, cfg.seed)
     records = {name: p.data for name, p in model.parameters().items()}
     records.update(model.buffers())
     for name, arr in records.items():
@@ -280,11 +279,8 @@ def load_checkpoint(path, expect=None):
         raise CheckpointError(f"{path}: version mismatch: file has {version}, expected {CHECKPOINT_VERSION}")
 
     config_at = offset
-    raw, offset = _take(data, offset, 9 * 4 + 8 + 2 + 8, path, "config block")
-    ints = struct.unpack_from("<9I", raw, 0)
-    dropout = struct.unpack_from("<d", raw, 36)[0]
-    pe_idx, attn_idx = struct.unpack_from("<BB", raw, 44)
-    seed = struct.unpack_from("<q", raw, 46)[0]
+    raw, offset = _take(data, offset, _CONFIG_BLOCK.size, path, "config block")
+    *ints, dropout, pe_idx, attn_idx, seed = _CONFIG_BLOCK.unpack(raw)
     if pe_idx >= len(PE_MODES):
         raise CheckpointError(f"{path}: unknown pe_mode index {pe_idx}")
     if attn_idx >= len(ATTENTION_MODES):

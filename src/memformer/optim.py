@@ -20,12 +20,14 @@ class Adam:
     """
 
     def __init__(self, params, lr=1e-3, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
-        if lr < 0:
-            raise ValueError(f"learning rate must be >= 0, got {lr}")
-        if weight_decay < 0:
-            raise ValueError(f"weight decay must be >= 0, got {weight_decay}")
+        # each test is written so that NaN fails it
+        for name, value in (("learning rate", lr), ("weight decay", weight_decay)):
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError(f"betas must be in [0, 1), got {beta1}, {beta2}")
+        if not 0 < eps < np.inf:
+            raise ValueError(f"eps must be finite and > 0, got {eps}")
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay

@@ -125,7 +125,7 @@ def test_criterion_2_attention_oracle():
         bank = rng.standard_normal((2, 2))
         module.memory = bank.copy()
         z = rng.standard_normal((1, 2, 2))
-        out = module.forward(ad.constant(z), train=True)
+        out, _ = module.forward(ad.constant(z), train=True)
 
         wq = module.w_q.data
         wk = module.w_k.data
@@ -148,7 +148,7 @@ def test_criterion_2_attention_oracle():
         q3 = ad.constant(rng.standard_normal((1, 3, 2)))
         k3 = ad.constant(rng.standard_normal((1, 3, 2)))
         v3 = ad.constant(rng.standard_normal((1, 3, 2)))
-        got = attend(q3, k3, v3, heads=1).data
+        got = attend(q3, k3, v3, heads=1)[0].data
         naive = _softmax_rows_ref(q3.data @ k3.data.transpose(0, 2, 1) / np.sqrt(2.0)) @ v3.data
         assert np.abs(got - naive).max() <= 1e-12
 
@@ -165,7 +165,7 @@ def test_criterion_3_fifo_suite():
             w_q, w_k, w_v = (ad.glorot_uniform(rng, (width, width)) for _ in range(3))
             q = ad.constant(rng.standard_normal((1, 2, width)))
             k_mem, v_mem = project_memory(bank, w_k, w_v)
-            _, first_pass = attend(ad.matmul(q, w_q), k_mem, v_mem, 1, return_weights=True)
+            _, first_pass = attend(ad.matmul(q, w_q), k_mem, v_mem, 1)
             assert np.abs(first_pass.data - 1.0 / capacity).max() <= 1e-12
 
             reference = [row.copy() for row in bank]

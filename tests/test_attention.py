@@ -53,9 +53,9 @@ def test_project_memory_identity_and_tiling():
     np.testing.assert_array_equal(v_m.data[0], bank @ w_v.data)
     # one projection serves every query row: the same as tiling it per sample
     q = ad.constant(rng.standard_normal((3, 2, 4)))
-    shared, shared_w = attend(q, k_m, v_m, heads=2, return_weights=True)
+    shared, shared_w = attend(q, k_m, v_m, heads=2)
     tiled = [ad.constant(np.repeat(t.data, 3, axis=0)) for t in (k_m, v_m)]
-    per_sample, per_sample_w = attend(q, *tiled, heads=2, return_weights=True)
+    per_sample, per_sample_w = attend(q, *tiled, heads=2)
     np.testing.assert_array_equal(shared.data, per_sample.data)
     np.testing.assert_array_equal(shared_w.data, per_sample_w.data)
 
@@ -68,7 +68,7 @@ def test_attend_zero_memory_is_uniform_and_zero_output():
     q = ad.constant(rng.standard_normal((2, 3, 4)))
     k_m = ad.constant(np.zeros((2, 5, 4)))
     v_m = ad.constant(np.zeros((2, 5, 4)))
-    out, w = attend(q, k_m, v_m, heads=2, return_weights=True)
+    out, w = attend(q, k_m, v_m, heads=2)
     np.testing.assert_allclose(w.data, 1.0 / 5.0, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(out.data, np.zeros((2, 3, 4)))
 
@@ -78,7 +78,7 @@ def test_attend_single_entry_ignores_query():
     q = ad.constant(rng.standard_normal((1, 4, 6)))
     k_m = ad.constant(rng.standard_normal((1, 1, 6)))
     v_m = ad.constant(rng.standard_normal((1, 1, 6)))
-    out, w = attend(q, k_m, v_m, heads=3, return_weights=True)
+    out, w = attend(q, k_m, v_m, heads=3)
     np.testing.assert_array_equal(w.data, np.ones((1, 3, 4, 1)))
     for t in range(4):
         np.testing.assert_allclose(out.data[0, t], v_m.data[0, 0], rtol=0, atol=1e-15)
@@ -93,7 +93,7 @@ def test_attend_single_head_hand_oracle():
     v_m = m @ w_v
     out = attend(
         ad.constant(q), ad.constant(k_m[None]), ad.constant(v_m[None]), heads=1
-    ).data
+    )[0].data
     # weight every bank row by softmax(q . k / sqrt(2)) explicitly
     want = np.zeros((1, 2, 2))
     for t in range(2):
@@ -109,7 +109,7 @@ def test_attend_weights_sum_to_one_per_token():
     q = ad.constant(rng.standard_normal((3, 5, 8)))
     k_m = ad.constant(rng.standard_normal((3, 6, 8)))
     v_m = ad.constant(rng.standard_normal((3, 6, 8)))
-    _, w = attend(q, k_m, v_m, heads=4, return_weights=True)
+    _, w = attend(q, k_m, v_m, heads=4)
     assert w.shape == (3, 4, 5, 6)
     np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, rtol=0, atol=1e-6)
 
@@ -131,13 +131,13 @@ def test_score_tensor_is_linear_in_bank_length():
     # memory attention scores: (B, h, T, M_len); self-attention: (B, h, T, T)
     q = ad.constant(np.zeros((2, 9, 4)))
     bank = ad.constant(np.zeros((2, 3, 4)))
-    _, w_mem = attend(q, bank, bank, heads=2, return_weights=True)
+    _, w_mem = attend(q, bank, bank, heads=2)
     assert w_mem.shape == (2, 2, 9, 3)
-    _, w_self = attend(q, q, q, heads=2, return_weights=True)
+    _, w_self = attend(q, q, q, heads=2)
     assert w_self.shape == (2, 2, 9, 9)
 
 
-def _chain_attend(q, k_mem, v_mem, heads, return_weights=False):
+def _chain_attend(q, k_mem, v_mem, heads):
     """``attend`` as a chain of autodiff primitives, one node per step: the
     reference the fused node must reproduce bit for bit."""
     b, t, k = q.shape
@@ -149,7 +149,7 @@ def _chain_attend(q, k_mem, v_mem, heads, return_weights=False):
     scores = ad.mul(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(k // heads))
     weights = ad.softmax_rows(scores)
     out = ad.reshape(ad.transpose(ad.matmul(weights, vh), (0, 2, 1, 3)), (b, t, k))
-    return (out, weights) if return_weights else out
+    return out, weights
 
 
 # (query batch, bank batch, heads): a shared (1, L, K) bank and per-sample keys
@@ -165,7 +165,7 @@ def test_attend_gradients_match_finite_difference(batch, bank_batch, heads):
     probe = ad.constant(rng.standard_normal((batch, 3, 4)))
 
     def loss():
-        return ad.tensor_sum(ad.mul(attend(q, k_m, v_m, heads), probe))
+        return ad.tensor_sum(ad.mul(attend(q, k_m, v_m, heads)[0], probe))
 
     loss().backward()
     for name, x in (("q", q), ("k_mem", k_m), ("v_mem", v_m)):
@@ -181,7 +181,7 @@ def test_attend_is_bitwise_the_primitive_chain(batch, bank_batch, heads):
     results = []
     for fn in (attend, _chain_attend):
         q, k_m, v_m = (ad.parameter(x.copy()) for x in inputs)
-        out, weights = fn(q, k_m, v_m, heads, return_weights=True)
+        out, weights = fn(q, k_m, v_m, heads)
         ad.tensor_sum(ad.mul(out, probe)).backward()
         results.append([out.data, weights.data, q.grad, k_m.grad, v_m.grad])
     for name, got, want in zip(("out", "weights", "q", "k_mem", "v_mem"), *results):
@@ -200,7 +200,7 @@ def test_attend_self_attention_accumulates_like_the_chain():
         z = ad.parameter(z0.copy())
         ws = [ad.parameter(w.copy()) for w in w0]
         q, k, v = (ad.matmul(z, w) for w in ws)
-        ad.tensor_sum(ad.mul(ad.add(q, fn(q, k, v, 2)), probe)).backward()
+        ad.tensor_sum(ad.mul(ad.add(q, fn(q, k, v, 2)[0]), probe)).backward()
         grads.append([z.grad] + [w.grad for w in ws])
     for got, want in zip(*grads):
         assert np.array_equal(got, want)
@@ -209,9 +209,9 @@ def test_attend_self_attention_accumulates_like_the_chain():
 def test_attend_under_no_grad_records_nothing():
     rng = np.random.default_rng(22)
     q, k_m, v_m = (ad.parameter(rng.standard_normal(s)) for s in ((2, 3, 4), (1, 5, 4), (1, 5, 4)))
-    recorded, recorded_w = attend(q, k_m, v_m, 2, return_weights=True)
+    recorded, recorded_w = attend(q, k_m, v_m, 2)
     with ad.no_grad():
-        out, w = attend(q, k_m, v_m, 2, return_weights=True)
+        out, w = attend(q, k_m, v_m, 2)
     assert recorded.requires_grad and recorded._parents == (q, k_m, v_m)
     assert not out.requires_grad and out._parents == () and out._grad_fn is None
     assert not recorded_w.requires_grad and not w.requires_grad
@@ -286,8 +286,8 @@ def test_eval_forward_deterministic_and_frozen():
     block.memory = rng.standard_normal((3, 4))
     before = block.memory.copy()
     z = ad.constant(rng.standard_normal((2, 5, 4)))
-    a = block.forward(z, train=False)
-    b = block.forward(z, train=False)
+    a, _ = block.forward(z, train=False)
+    b, _ = block.forward(z, train=False)
     np.testing.assert_array_equal(a.data, b.data)
     np.testing.assert_array_equal(block.memory, before)
 
@@ -313,7 +313,7 @@ def test_train_forward_two_pass_hand_oracle():
     a2 = _softmax(q @ (m1 @ w_k).T / np.sqrt(2.0)) @ (m1 @ w_v)
     want = _layer_norm(q + a2)
 
-    out = block.forward(ad.constant(z), train=True)
+    out, _ = block.forward(ad.constant(z), train=True)
     np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(block.memory, m1, rtol=0, atol=1e-12)
 
@@ -323,7 +323,7 @@ def test_train_capacity_one_second_pass_uses_fresh_entry():
     block = MemoryAttention(embed_dim=4, heads=1, capacity=1, rng=rng, dropout_rate=0.0)
     block.memory = rng.standard_normal((1, 4))
     z = ad.constant(rng.standard_normal((1, 3, 4)))
-    out = block.forward(z, train=True)
+    out, _ = block.forward(z, train=True)
     # with a single entry the second attention output is exactly m_new @ W_V
     q = z.data @ block.w_q.data
     fresh = block.memory[0] @ block.w_v.data
@@ -335,7 +335,7 @@ def test_zero_memory_first_pass_weights_uniform():
     rng = np.random.default_rng(11)
     block = MemoryAttention(embed_dim=4, heads=2, capacity=5, rng=rng, dropout_rate=0.0)
     z = ad.constant(rng.standard_normal((2, 3, 4)))
-    _, w = block.forward(z, train=False, return_weights=True)
+    _, w = block.forward(z, train=False)
     np.testing.assert_allclose(w.data, 0.2, rtol=0, atol=1e-12)
 
 
@@ -344,7 +344,7 @@ def test_no_gradient_reaches_buffer_but_projections_train():
     block = MemoryAttention(embed_dim=4, heads=2, capacity=3, rng=rng, dropout_rate=0.0)
     block.memory = rng.standard_normal((3, 4))
     z = ad.constant(rng.standard_normal((2, 5, 4)))
-    ad.tensor_sum(block.forward(z, train=True)).backward()
+    ad.tensor_sum(block.forward(z, train=True)[0]).backward()
     # the bank lives outside the graph entirely
     assert isinstance(block.memory, np.ndarray)
     assert not isinstance(block.memory, ad.Tensor)
@@ -361,7 +361,7 @@ def test_memory_block_gradients_match_finite_difference():
     v = rng.standard_normal((1, 3, 4))
 
     def loss():
-        return ad.tensor_sum(ad.mul(block.forward(z, train=False), ad.constant(v)))
+        return ad.tensor_sum(ad.mul(block.forward(z, train=False)[0], ad.constant(v)))
 
     loss().backward()
     for name, p in block.parameters("blk").items():
@@ -374,9 +374,9 @@ def test_train_dropout_consumes_rng():
     block = MemoryAttention(embed_dim=4, heads=2, capacity=3, rng=rng, dropout_rate=0.5)
     block.memory = rng.standard_normal((3, 4))
     z = ad.constant(rng.standard_normal((2, 5, 4)))
-    a = block.forward(z, train=True, rng=np.random.default_rng(0)).data
+    a = block.forward(z, train=True, rng=np.random.default_rng(0))[0].data
     block.memory = block.memory  # state already advanced; compare variance only
-    b = block.forward(z, train=True, rng=np.random.default_rng(99)).data
+    b = block.forward(z, train=True, rng=np.random.default_rng(99))[0].data
     assert not np.array_equal(a, b)
 
 
@@ -387,7 +387,7 @@ def test_standard_single_token():
     rng = np.random.default_rng(15)
     block = StandardAttention(embed_dim=4, heads=2, rng=rng, dropout_rate=0.0)
     z = ad.constant(rng.standard_normal((2, 1, 4)))
-    out, w = block.forward(z, return_weights=True)
+    out, w = block.forward(z)
     np.testing.assert_array_equal(w.data, np.ones((2, 2, 1, 1)))
     q = z.data @ block.w_q.data
     v = z.data @ block.w_v.data
@@ -398,7 +398,7 @@ def test_standard_identical_tokens_uniform_weights():
     rng = np.random.default_rng(16)
     block = StandardAttention(embed_dim=6, heads=3, rng=rng, dropout_rate=0.0)
     z = ad.constant(np.broadcast_to(rng.standard_normal(6), (1, 5, 6)).copy())
-    _, w = block.forward(z, return_weights=True)
+    _, w = block.forward(z)
     np.testing.assert_allclose(w.data, 0.2, rtol=0, atol=1e-12)
 
 
@@ -414,7 +414,7 @@ def test_standard_three_token_hand_oracle():
     z = np.array([[[0.5, -0.2], [1.1, 0.8], [-0.9, 0.4]]])
     q, k, v = z @ w_q, z @ w_k, z @ w_v
     want = _layer_norm(q + _softmax(q @ k.transpose(0, 2, 1) / np.sqrt(2.0)) @ v)
-    out = block.forward(ad.constant(z))
+    out, _ = block.forward(ad.constant(z))
     np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
 
 

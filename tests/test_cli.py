@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline: synth, split, train, eval, ablations."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,14 +141,14 @@ def test_eval_reads_checkpoint_and_writes_report(workdir, capsys):
         ["eval", *data_flags(workdir), "--checkpoint", ckpt, "--report-out", report]
     )
     assert code == 0
-    text = open(report).read()
+    text = Path(report).read_text()
     assert "overall accuracy" in text
     assert "kappa" in text
     assert "manifest sha256" in text
     # evaluation is a pure function: a second run emits identical bytes
     report2 = str(workdir["root"] / "report2.txt")
     main(["eval", *data_flags(workdir), "--checkpoint", ckpt, "--report-out", report2])
-    assert open(report2).read().split("evaluated in")[0] == text.split("evaluated in")[0]
+    assert Path(report2).read_text().split("evaluated in")[0] == text.split("evaluated in")[0]
 
 
 def test_ablate_pe_emits_four_rows(workdir, capsys):
@@ -229,6 +230,24 @@ def test_cli_rejects_unknown_config_key(workdir, tmp_path, capsys):
     assert "unknown config key 'momentum'" in capsys.readouterr().err
 
 
+def test_cli_rejects_nan_lr_before_training(workdir, tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("memformer.cli.train", no_training)
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(TINY_CFG + "lr = nan\n")
+    ckpt = tmp_path / "m.ckpt"
+    code = main(
+        ["train", *data_flags(workdir), "--config", str(cfg),
+         "--checkpoint-out", str(ckpt), "--log-out", str(tmp_path / "l.csv")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lr must be finite")
+    assert not ckpt.exists()
+
+
 def test_cli_rejects_band_mismatch(workdir, tmp_path, capsys):
     cfg = tmp_path / "bands.cfg"
     cfg.write_text(TINY_CFG + "bands = 5\n")
@@ -257,7 +276,7 @@ def test_cli_rejects_label_cube_shape_mismatch(workdir, tmp_path, capsys):
 
 
 def test_cli_detects_manifest_label_disagreement(workdir, tmp_path, capsys):
-    manifest_text = open(workdir["manifest"]).read()
+    manifest_text = Path(workdir["manifest"]).read_text()
     lines = manifest_text.splitlines()
     # flip the class on the first data row
     first = lines[0].split(",")

@@ -224,6 +224,28 @@ def test_window_matches_oracle_exhaustively():
                 np.testing.assert_array_equal(got, _mirror_oracle(cube.values, row, col, size))
 
 
+def test_window_gathers_arrays_of_centers():
+    rng = np.random.default_rng(6)
+    cube = HSICube(rng.standard_normal((9, 7, 3)).astype(np.float32))
+    rows = rng.integers(0, 9, size=(2, 5))
+    cols = rng.integers(0, 7, size=(2, 5))
+    got = extract_window(cube, rows, cols, 5)
+    assert got.shape == (2, 5, 5, 5, 3) and got.dtype == np.float64
+    for i in np.ndindex(rows.shape):
+        np.testing.assert_array_equal(got[i], extract_window(cube, rows[i], cols[i], 5))
+    empty = extract_window(cube, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 5)
+    assert empty.shape == (0, 5, 5, 3)
+    # the first center outside the scene is the one named
+    with pytest.raises(ValueError, match=r"center \(9, 1\) outside a 9x7 scene"):
+        extract_window(cube, np.array([0, 9, -1]), np.array([0, 1, 0]), 3)
+    # centers broadcast: three rows against one column
+    across = extract_window(cube, np.array([0, 4, 8]), 2, 3)
+    for i, r in enumerate((0, 4, 8)):
+        np.testing.assert_array_equal(across[i], extract_window(cube, r, 2, 3))
+    with pytest.raises(ValueError, match="broadcast"):
+        extract_window(cube, np.array([0, 1]), np.array([0, 1, 2]), 3)
+
+
 def test_window_rejects_oversize_and_bad_center():
     cube, _ = synth_scene(8, 10, 4, 2, seed=0)
     with pytest.raises(ValueError, match="twice"):

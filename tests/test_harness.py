@@ -64,6 +64,25 @@ def test_train_config_validation():
         TrainConfig(weight_decay=-1.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lr", math.nan),
+        ("lr", math.inf),
+        ("weight_decay", math.nan),
+        ("weight_decay", math.inf),
+        ("eps", 0.0),
+        ("eps", -1.0),
+        ("eps", math.nan),
+        ("eps", math.inf),
+        ("seed", -1),
+    ],
+)
+def test_train_config_rejects_values_that_destroy_training(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        TrainConfig(**{field: value})
+
+
 def test_extract_samples_shapes_and_labels(scene):
     cube, _, manifest = scene
     x, y = extract_samples(cube, manifest.train, 4)

@@ -438,6 +438,41 @@ def _too_big_extents(blob):
     return blob + struct.pack("<H", 4) + b"huge" + struct.pack("<B4I", 4, 0, *(2**32 - 1,) * 3)
 
 
+def _record_at(blob, name):
+    """(start, end) of the named record, walking the records from the first."""
+    at = _RECORDS_AT
+    while at < len(blob):
+        (name_len,) = struct.unpack_from("<H", blob, at)
+        rank = blob[at + 2 + name_len]
+        shape = struct.unpack_from(f"<{rank}I", blob, at + 3 + name_len)
+        end = at + 3 + name_len + 4 * rank + 8 * int(np.prod(shape))
+        if blob[at + 2 : at + 2 + name_len].decode() == name:
+            return at, end
+        at = end
+    raise KeyError(name)
+
+
+def _missing_record(blob):
+    # cut at a record boundary: the bank, the last record, is gone
+    start, end = _record_at(blob, "layer0.attn.memory")
+    assert end == len(blob)
+    return blob[:start]
+
+
+def _unknown_record(blob):
+    blob[_CLS_NAME_AT : _CLS_NAME_AT + 3] = b"clz"
+    return blob
+
+
+def _swapped_extents(blob):
+    # (8, 16) stored as (16, 8): the data length still fits the extents
+    start, _ = _record_at(blob, "layer0.ffn_w1")
+    extents = start + 2 + len("layer0.ffn_w1") + 1
+    assert struct.unpack_from("<2I", blob, extents) == (8, 16)
+    struct.pack_into("<2I", blob, extents, 16, 8)
+    return blob
+
+
 def _negative_seed(blob):
     blob[_SEED_AT : _SEED_AT + 8] = struct.pack("<q", -1)
     return blob
@@ -459,6 +494,9 @@ def _zero_heads(blob):
         (_too_big_extents, "'huge' at byte"),
         (_negative_seed, "seed"),
         (_zero_heads, "heads"),
+        (_missing_record, "missing ['layer0.attn.memory']"),
+        (_unknown_record, "unknown ['clz']"),
+        (_swapped_extents, "'layer0.ffn_w1' has shape (16, 8), expected (8, 16)"),
     ],
     ids=[
         "duplicate",
@@ -469,6 +507,9 @@ def _zero_heads(blob):
         "too_big_extents",
         "negative_seed",
         "zero_heads",
+        "missing_record",
+        "unknown_record",
+        "swapped_extents",
     ],
 )
 def test_checkpoint_crafted_fault_rejected(tmp_path, craft, where):

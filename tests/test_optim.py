@@ -118,3 +118,22 @@ def test_validates_hyperparameters():
         Adam(_params({"w": [1.0]}), beta1=1.0)
     with pytest.raises(ValueError):
         Adam(_params({"w": [1.0]}), weight_decay=-0.1)
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("lr", np.nan, "learning rate"),
+        ("lr", np.inf, "learning rate"),
+        ("weight_decay", np.nan, "weight decay"),
+        ("weight_decay", np.inf, "weight decay"),
+        ("eps", 0.0, "eps"),
+        ("eps", -1.0, "eps"),
+        ("eps", np.nan, "eps"),
+        ("eps", np.inf, "eps"),
+    ],
+)
+def test_rejects_hyperparameters_that_poison_the_first_step(field, value, named):
+    # NaN fails every comparison, so each check must be one that NaN cannot pass
+    with pytest.raises(ValueError, match=named):
+        Adam(_params({"w": [1.0]}), **{field: value})
