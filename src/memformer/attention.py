@@ -114,19 +114,23 @@ def attend(q, k_mem, v_mem, heads):
 
 
 def residual_norm(x, y, gain, bias, rate=0.0, rng=None, train=False):
-    """LayerNorm(x + y) along the embedding axis, with dropout on ``y`` in train mode."""
+    """LayerNorm(x + y) along the embedding axis, with dropout on ``y`` in train mode.
+
+    The sum and the norm are one node: the sum goes into a fresh buffer that
+    is then normalised in place, and ``x`` and ``y`` get the same gradient.
+    """
     if train and rate > 0:
         y = ad.dropout(y, rate, rng, train=True)
-    return ad.layer_norm(ad.add(x, y), gain, bias)
+    return ad._layer_norm(x.data + y.data, (x, y), gain, bias, "residual_norm", owned=True)
 
 
 def update_memory(bank, attn_out):
     """Return ``bank`` with its oldest row dropped and the batch-and-token
-    mean of ``attn_out`` appended.
+    mean of the (B, T, K) tensor ``attn_out`` appended.
 
     The new bank is a fresh array of raw data, never part of the compute graph.
     """
-    data = attn_out.data if isinstance(attn_out, ad.Tensor) else np.asarray(attn_out)
+    data = attn_out.data
     width = bank.shape[1]
     if data.ndim != 3 or data.shape[2] != width:
         raise ValueError(f"attention output {data.shape} does not match bank width {width}")

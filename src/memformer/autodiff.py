@@ -14,6 +14,19 @@ concat) that wires an encoder together. Nothing in the package calls
 benchmark tracer (``perfbench/tracer.py``) wraps them by name, and can go
 once it derives its targets from ``__all__`` (ROADMAP item 1).
 
+A few ops are fused: ``affine`` and the private ``_mlp`` (affine, ReLU,
+affine) and ``_layer_norm`` (a residual sum and its LayerNorm, used by
+``attention.residual_norm``) each record one node. Each one repeats, in its
+forward and its backward, the numpy ops of the chain of primitives it
+replaces, in that chain's order, so values and gradients are bitwise the
+chain's. Fusing saves the elementwise passes and temporaries between the
+steps; a node writes in place only into buffers it allocated itself. ``add``
+and ``relu`` stay primitives because the model still calls them alone (the
+token plus positional sum, the projector ReLU). ``layer_norm`` stays as the
+public spelling of the formula ``_layer_norm`` holds; demo 01 calls it and
+the benchmark tracer wraps it by name. All three are the oracle chain the
+tests hold the fused nodes to.
+
 A node's ``grad_fn`` returns one gradient per parent, or ``None`` for a
 parent that needs none. ``backward`` assigns a parent's first gradient as
 returned and adds later ones out of place, so a returned array may alias
@@ -231,23 +244,67 @@ def mul(a, b):
     return _node(a.data * b.data, (a, b), grad_fn, "mul")
 
 
-def matmul(a, b):
-    """Batched matrix product; leading axes broadcast like ``np.matmul``."""
-    a, b = _as_tensor(a), _as_tensor(b)
+def _check_matmul(a, b):
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
 
-    def grad_fn(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape) if a.requires_grad else None
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if b.requires_grad else None
-        return ga, gb
 
-    return _node(a.data @ b.data, (a, b), grad_fn, "matmul")
+def _matmul_grads(g, a, b):
+    """Gradients of ``a @ b`` for output gradient ``g``; None for a constant."""
+    ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape) if a.requires_grad else None
+    gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if b.requires_grad else None
+    return ga, gb
+
+
+def matmul(a, b):
+    """Batched matrix product; leading axes broadcast like ``np.matmul``."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_matmul(a, b)
+    return _node(a.data @ b.data, (a, b), lambda g: _matmul_grads(g, a, b), "matmul")
 
 
 def affine(x, weight, bias):
-    """x @ weight + bias."""
-    return add(matmul(x, weight), bias)
+    """x @ weight + bias, as one node: the bias is added in place into the
+    product's buffer."""
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
+    _check_matmul(x, weight)
+    out = x.data @ weight.data
+    out += bias.data
+
+    def grad_fn(g):
+        gx, gw = _matmul_grads(g, x, weight)
+        return gx, gw, _unbroadcast(g, bias.data.shape)
+
+    return _node(out, (x, weight, bias), grad_fn, "affine")
+
+
+def _mlp(x, w1, b1, w2, b2):
+    """affine(relu(affine(x, w1, b1)), w2, b2) as one node.
+
+    The hidden layer is one buffer: bias and ReLU are applied in place, and
+    the backward reads the ReLU mask from it (``h > 0`` exactly where the
+    pre-activation was > 0, so the subgradient at 0 is 0, as in ``relu``).
+    """
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    _check_matmul(x, w1)
+    _check_matmul(x, w2)  # the hidden layer is at least x's rank
+    h = x.data @ w1.data
+    h += b1.data
+    np.maximum(h, 0.0, out=h)
+    out = h @ w2.data
+    out += b2.data
+
+    def grad_fn(g):
+        gw2 = _unbroadcast(np.swapaxes(h, -1, -2) @ g, w2.data.shape) if w2.requires_grad else None
+        gx = gw1 = gb1 = None
+        if x.requires_grad or w1.requires_grad or b1.requires_grad:
+            gh = g @ np.swapaxes(w2.data, -1, -2)
+            gh *= h > 0.0
+            gx, gw1 = _matmul_grads(gh, x, w1)
+            gb1 = _unbroadcast(gh, b1.data.shape)
+        return gx, gw1, gb1, gw2, _unbroadcast(g, b2.data.shape)
+
+    return _node(out, (x, w1, b1, w2, b2), grad_fn, "mlp")
 
 
 # -- nonlinearities --------------------------------------------------------
@@ -264,13 +321,26 @@ def relu(x):
     return _node(out, (x,), grad_fn, "relu")
 
 
+def _row_max(x):
+    """``x.max(axis=-1, keepdims=True)``, taken column by column.
+
+    A max is exact in any order, so this is bitwise the reduction; over a
+    short last axis (the M_len = 10 bank slots) elementwise ``np.maximum``
+    on whole columns is several times faster than numpy's strided reduce.
+    """
+    m = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(m, x[..., j], out=m)
+    return m[..., None]
+
+
 def _softmax(x, out):
     """Softmax of ``x`` over its last axis, stabilised by max-subtraction,
     written into ``out`` and returned. ``out`` may be ``x`` itself, so the
     whole softmax needs no buffer beyond the result."""
     if not np.isfinite(x).all():
         raise ValueError("softmax input contains non-finite values")
-    np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.subtract(x, _row_max(x), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
@@ -291,33 +361,50 @@ def softmax_rows(logits):
     return _node(y, (logits,), grad_fn, "softmax")
 
 
-def layer_norm(x, gain, bias):
-    """Normalise the last axis to zero mean / unit variance, then affine."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+def _layer_norm(x, parents, gain, bias, op, owned):
+    """LayerNorm of the array ``x`` over its last axis, then ``* gain + bias``,
+    recorded as one node.
+
+    ``x`` is the sum of the tensors in ``parents`` (or the one tensor's
+    values); each of them gets the gradient of ``x``. If ``owned``, ``x`` is
+    a buffer the caller allocated and it is centred and scaled in place. The
+    square buffer is reused for the output, so the forward allocates two
+    arrays of ``x``'s size instead of five, and the backward two instead of
+    seven; every step is the textbook formula's, in its order.
+    """
     n = x.shape[-1] if x.ndim else 0
     if n == 0:
         raise ValueError("layer_norm needs a non-empty last axis")
     if gain.shape != (n,) or bias.shape != (n,):
         raise ValueError(f"gain/bias must have shape ({n},), got {gain.shape} and {bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    mu = x.mean(axis=-1, keepdims=True)
+    xhat = np.subtract(x, mu, out=x if owned else None)
+    out = xhat * xhat
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def grad_fn(g):
-        gy = g * gain.data
-        gx = inv * (
-            gy
-            - gy.mean(axis=-1, keepdims=True)
-            - xhat * (gy * xhat).mean(axis=-1, keepdims=True)
-        )
-        ggain = _unbroadcast(g * xhat, gain.data.shape)
+        # gx = inv * (gy - mean(gy) - xhat * mean(gy * xhat)), evaluated in
+        # that order in two buffers
+        gx = g * gain.data
+        t = gx * xhat
+        t_mean = t.mean(axis=-1, keepdims=True)
+        gx -= gx.mean(axis=-1, keepdims=True)
+        gx -= np.multiply(xhat, t_mean, out=t)
+        gx *= inv
+        ggain = _unbroadcast(np.multiply(g, xhat, out=t), gain.data.shape)
         gbias = _unbroadcast(g, bias.data.shape)
-        return gx, ggain, gbias
+        return tuple(_unbroadcast(gx, p.data.shape) for p in parents) + (ggain, gbias)
 
-    return _node(out, (x, gain, bias), grad_fn, "layer_norm")
+    return _node(out, parents + (gain, bias), grad_fn, op)
+
+
+def layer_norm(x, gain, bias):
+    """Normalise the last axis to zero mean / unit variance, then affine."""
+    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    return _layer_norm(x.data, (x,), gain, bias, "layer_norm", owned=False)
 
 
 def dropout(x, rate, rng, train):

@@ -29,7 +29,6 @@ __all__ = [
     "PatchProjector",
     "sinusoid_encoding",
     "sspe_spatial",
-    "sspe_spectral",
     "PositionalEmbedding",
     "PE_MODES",
 ]
@@ -132,16 +131,15 @@ def sspe_spatial(x, y, embed_dim):
     )
 
 
-def sspe_spectral(profiles, embed_dim):
+def _sspe_spectral(profiles, band_table):
     """K_sigma-vectors: energy-weighted mixtures of per-band-index sinusoids.
 
-    ``profiles`` is (..., S) nonnegative band energies; the result is
-    (..., K_sigma). Weights are each profile normalized to sum 1; an all-zero
-    profile falls back to uniform weights.
+    ``profiles`` is (..., S) nonnegative band energies and ``band_table`` the
+    (S, K_sigma) sinusoids of each band index; the result is (..., K_sigma).
+    Weights are each profile normalized to sum 1; an all-zero profile falls
+    back to uniform weights.
     """
-    weights = _band_weights(profiles)
-    bands = weights.shape[-1]
-    return weights @ sinusoid_encoding(np.arange(bands), _sspe_dims(embed_dim)[1], embed_dim)
+    return _band_weights(profiles) @ band_table
 
 
 def _band_weights(profiles):
@@ -218,8 +216,7 @@ class PositionalEmbedding:
 
         spatial = np.broadcast_to(self.spatial, (shape[0],) + self.spatial.shape).copy()
         spa = ad.matmul(ad.constant(spatial), p["sspe.proj_spatial"])
-        spectral = _band_weights(np.abs(tokens).mean(axis=(2, 3))) @ self.band_table
+        spectral = _sspe_spectral(np.abs(tokens).mean(axis=(2, 3)), self.band_table)
         spe = ad.matmul(ad.constant(spectral), p["sspe.proj_spectral"])
         joint = ad.concat([spa, spe], axis=-1)
-        hidden = ad.relu(ad.affine(joint, p["sspe.fuse_w1"], p["sspe.fuse_b1"]))
-        return ad.affine(hidden, p["sspe.fuse_w2"], p["sspe.fuse_b2"])
+        return ad._mlp(joint, p["sspe.fuse_w1"], p["sspe.fuse_b1"], p["sspe.fuse_w2"], p["sspe.fuse_b2"])

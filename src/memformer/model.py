@@ -109,7 +109,7 @@ class _EncoderLayer:
         self.dropout = cfg.dropout
 
     def ffn(self, x):
-        return ad.affine(ad.relu(ad.affine(x, self.ffn_w1, self.ffn_b1)), self.ffn_w2, self.ffn_b2)
+        return ad._mlp(x, self.ffn_w1, self.ffn_b1, self.ffn_w2, self.ffn_b2)
 
     def forward(self, z, train, rng):
         a, _ = self.attn.forward(z, train=train, rng=rng)

@@ -245,19 +245,104 @@ def test_residual_norm_statistics():
     np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-3)
 
 
+def _chain_residual_norm(x, y, gain, bias, rate=0.0, rng=None, train=False):
+    """``residual_norm`` as the chain of primitives it replaces."""
+    if train and rate > 0:
+        y = ad.dropout(y, rate, rng, train=True)
+    return ad.layer_norm(ad.add(x, y), gain, bias)
+
+
+def _residual_norm_grads(fn, arrays, sublayer, probe, **kw):
+    """Output and gradients of x, y's inputs, gain and bias after backprop of
+    sum(fn(x, sublayer(x, ...), gain, bias) * probe)."""
+    x, a, b, gain, bias = (ad.parameter(v.copy()) for v in arrays)
+    out = fn(x, sublayer(x, a, b), gain, bias, **kw)
+    ad.tensor_sum(ad.mul(out, ad.constant(probe))).backward()
+    return out, [out.data, x.grad, a.grad, b.grad, gain.grad, bias.grad]
+
+
+# how y is made: independent of x, or from x as in both blocks
+_SUBLAYERS = {
+    "independent": lambda x, a, b: ad.add(a, b),
+    "attend": lambda x, a, b: attend(x, a, b, 2)[0],
+}
+
+
+@pytest.mark.parametrize("sublayer", sorted(_SUBLAYERS))
+@pytest.mark.parametrize("train", [False, True])
+def test_residual_norm_is_one_node_and_bitwise_the_chain(sublayer, train):
+    rng = np.random.default_rng(40)
+    shapes = ((2, 3, 8), (2, 3, 8), (2, 3, 8), (8,), (8,))
+    arrays = [rng.standard_normal(s) for s in shapes]
+    arrays[3] = 1.0 + 0.1 * arrays[3]
+    probe = rng.standard_normal((2, 3, 8))
+    results = []
+    for fn in (residual_norm, _chain_residual_norm):
+        kw = dict(rate=0.3, rng=np.random.default_rng(41), train=True) if train else {}
+        results.append(_residual_norm_grads(fn, arrays, _SUBLAYERS[sublayer], probe, **kw))
+    (out, got), (_, want) = results
+    assert out._op == "residual_norm" and len(out._parents) == 4
+    assert (out._parents[1]._op == "dropout") == train
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == b.shape and np.array_equal(a, b), i
+
+
+def test_residual_norm_summands_share_one_gradient_and_inputs_stay():
+    rng = np.random.default_rng(42)
+    x, y = (ad.parameter(rng.standard_normal((2, 3, 4))) for _ in range(2))
+    gain, bias = ad.parameter(np.ones(4)), ad.parameter(np.zeros(4))
+    before = [t.data.copy() for t in (x, y, gain, bias)]
+    out = residual_norm(x, y, gain, bias)
+    g = rng.standard_normal(out.shape)
+    g_before = g.copy()
+    gx, gy, _, _ = out._grad_fn(g)
+    assert np.shares_memory(gx, gy) and np.array_equal(gx, gy)
+    assert np.array_equal(g, g_before)
+    for t, b in zip((x, y, gain, bias), before):
+        assert np.array_equal(t.data, b)
+
+
+def test_residual_norm_gradients_match_finite_difference():
+    rng = np.random.default_rng(43)
+    x, y = (ad.parameter(rng.standard_normal((2, 3, 6))) for _ in range(2))
+    gain = ad.parameter(1.0 + 0.1 * rng.standard_normal(6))
+    bias = ad.parameter(rng.standard_normal(6))
+    probe = ad.constant(rng.standard_normal((2, 3, 6)))
+
+    def loss():
+        return ad.tensor_sum(ad.mul(residual_norm(x, y, gain, bias), probe))
+
+    loss().backward()
+    for name, t in (("x", x), ("y", y), ("gain", gain), ("bias", bias)):
+        want = ad.finite_diff_grad(lambda _t: loss(), t).data
+        np.testing.assert_allclose(t.grad, want, rtol=1e-5, atol=1e-8, err_msg=name)
+
+
+def test_residual_norm_under_no_grad_records_nothing():
+    rng = np.random.default_rng(44)
+    x, y = (ad.parameter(rng.standard_normal((2, 3, 4))) for _ in range(2))
+    gain, bias = ad.parameter(np.ones(4)), ad.parameter(np.zeros(4))
+    recorded = residual_norm(x, y, gain, bias)
+    with ad.no_grad():
+        out = residual_norm(x, y, gain, bias)
+    assert recorded.requires_grad and recorded._parents == (x, y, gain, bias)
+    assert not out.requires_grad and out._parents == () and out._grad_fn is None
+    np.testing.assert_array_equal(out.data, recorded.data)
+
+
 # -- update_memory ----------------------------------------------------------------
 
 
 def test_update_memory_fifo_order():
     bank = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    a = np.full((2, 4, 2), 7.0)
+    a = ad.constant(np.full((2, 4, 2), 7.0))
     bank = update_memory(bank, a)
     np.testing.assert_array_equal(bank, [[1, 1], [2, 2], [7, 7]])
 
 
 def test_update_memory_mean_example():
     bank = np.zeros((2, 2))
-    a = np.array([[[1.0, 3.0], [3.0, 5.0]]])
+    a = ad.constant(np.array([[[1.0, 3.0], [3.0, 5.0]]]))
     bank = update_memory(bank, a)
     np.testing.assert_array_equal(bank[-1], [2.0, 4.0])
 
@@ -270,9 +355,9 @@ def test_update_memory_replay_oracle():
         bank = np.zeros((cap, width))
         history = [row.copy() for row in bank]
         for _ in range(int(rng.integers(1, 3 * cap + 2))):
-            a = rng.standard_normal((int(rng.integers(1, 4)), int(rng.integers(1, 5)), width))
+            a = ad.constant(rng.standard_normal((int(rng.integers(1, 4)), int(rng.integers(1, 5)), width)))
             bank = update_memory(bank, a)
-            history.append(a.mean(axis=(0, 1)))
+            history.append(a.data.mean(axis=(0, 1)))
             assert bank.shape == (cap, width)
         np.testing.assert_allclose(bank, np.stack(history[-cap:]), rtol=0, atol=1e-15)
 

@@ -361,6 +361,198 @@ def test_randomized_composite_grads():
 
 
 
+# -- fused nodes --------------------------------------------------------------------
+# ``affine``, ``_mlp`` and ``layer_norm`` each record one node whose forward
+# and backward repeat the numpy ops of a reference in its order: the chain
+# of primitives for the first two, the textbook formula for ``layer_norm``.
+# The oracles demand bitwise equality, not a tolerance.
+
+
+def _chain_affine(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+def _chain_mlp(x, w1, b1, w2, b2):
+    return _chain_affine(ad.relu(_chain_affine(x, w1, b1)), w2, b2)
+
+
+def _values_and_grads(fn, arrays, trainable, probe):
+    """fn's output and every input's gradient after backprop of sum(out * probe),
+    on fresh tensors holding copies of ``arrays``."""
+    tensors = [ad.parameter(a.copy()) if t else ad.constant(a.copy()) for a, t in zip(arrays, trainable)]
+    out = fn(*tensors)
+    ad.tensor_sum(ad.mul(out, ad.constant(probe))).backward()
+    return out, [out.data] + [t.grad for t in tensors]
+
+
+def _assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        if b is None:
+            assert a is None, i
+        else:
+            assert a.shape == b.shape and np.array_equal(a, b), i
+
+
+# x shape, w shape, whether (x, w, b) are trainable
+_AFFINE_CASES = [
+    ((6, 3), (3, 4), (True, True, True)),
+    ((2, 5, 3), (3, 4), (True, True, True)),
+    ((2, 5, 3), (3, 4), (False, True, True)),
+]
+
+
+@pytest.mark.parametrize("x_shape, w_shape, trainable", _AFFINE_CASES)
+def test_affine_is_one_node_and_bitwise_the_chain(x_shape, w_shape, trainable):
+    rng = np.random.default_rng(30)
+    arrays = [rng.standard_normal(x_shape), rng.standard_normal(w_shape), rng.standard_normal(w_shape[-1])]
+    probe = rng.standard_normal(x_shape[:-1] + w_shape[-1:])
+    out, got = _values_and_grads(ad.affine, arrays, trainable, probe)
+    _, want = _values_and_grads(_chain_affine, arrays, trainable, probe)
+    assert out._op == "affine" and len(out._parents) == 3
+    _assert_bitwise(got, want)
+
+
+def _mlp_arrays(rng, x_shape, hidden):
+    width = x_shape[-1]
+    return [
+        rng.standard_normal(x_shape),
+        rng.standard_normal((width, hidden)),
+        rng.standard_normal(hidden),
+        rng.standard_normal((hidden, width)),
+        rng.standard_normal(width),
+    ]
+
+
+@pytest.mark.parametrize("x_trainable", [True, False])
+def test_mlp_is_one_node_and_bitwise_the_chain(x_trainable):
+    rng = np.random.default_rng(31)
+    arrays = _mlp_arrays(rng, (2, 5, 4), 6)
+    # exact zeros at the kink on top of the random pre-activations
+    arrays[2][:2] = -(arrays[0] @ arrays[1])[0, 0, :2]
+    trainable = (x_trainable, True, True, True, True)
+    probe = rng.standard_normal((2, 5, 4))
+    out, got = _values_and_grads(ad._mlp, arrays, trainable, probe)
+    _, want = _values_and_grads(_chain_mlp, arrays, trainable, probe)
+    assert out._op == "mlp" and len(out._parents) == 5
+    _assert_bitwise(got, want)
+
+
+def test_mlp_in_a_residual_diamond_accumulates_like_the_chain():
+    # the FFN sublayer: x feeds the MLP and the residual sum, so its gradient
+    # adds two contributions
+    rng = np.random.default_rng(32)
+    arrays = _mlp_arrays(rng, (3, 4, 5), 7) + [1.0 + 0.1 * rng.standard_normal(5), rng.standard_normal(5)]
+    probe = rng.standard_normal((3, 4, 5))
+
+    def sublayer(mlp):
+        def fn(x, w1, b1, w2, b2, gain, bias):
+            return ad.layer_norm(ad.add(x, mlp(x, w1, b1, w2, b2)), gain, bias)
+
+        return fn
+
+    _, got = _values_and_grads(sublayer(ad._mlp), arrays, (True,) * 7, probe)
+    _, want = _values_and_grads(sublayer(_chain_mlp), arrays, (True,) * 7, probe)
+    _assert_bitwise(got, want)
+
+
+def test_mlp_gradients_match_finite_difference():
+    rng = np.random.default_rng(33)
+    x, w1, b1, w2, b2 = (ad.parameter(a) for a in _mlp_arrays(rng, (3, 4), 6))
+    # the finite difference must not straddle the ReLU kink
+    assert np.abs(x.data @ w1.data + b1.data).min() > 1e-3
+    v = ad.constant(rng.standard_normal((3, 4)))
+
+    def build(x, w1, b1, w2, b2):
+        return ad.tensor_sum(ad.mul(ad._mlp(x, w1, b1, w2, b2), v))
+
+    _check_grads(build, [x, w1, b1, w2, b2])
+
+
+def test_mlp_relu_kink_gets_zero_gradient():
+    rng = np.random.default_rng(34)
+    x, w1, b1, w2, b2 = (ad.parameter(a) for a in _mlp_arrays(rng, (1, 4), 6))
+    pre = x.data @ w1.data
+    b1.data[:] = np.abs(rng.standard_normal(6)) + 1.0 - pre
+    b1.data[::2] = -pre[0, ::2]
+    assert np.array_equal((pre + b1.data)[0, ::2], np.zeros(3))
+    ad.tensor_sum(ad._mlp(x, w1, b1, w2, b2)).backward()
+    assert np.array_equal(b1.grad[::2], np.zeros(3))
+    assert np.array_equal(w1.grad[:, ::2], np.zeros((4, 3)))
+    np.testing.assert_allclose(b1.grad[1::2], w2.data[1::2].sum(axis=1), rtol=1e-12)
+
+
+def test_layer_norm_is_bitwise_the_formula():
+    rng = np.random.default_rng(35)
+    x = rng.standard_normal((3, 5, 8)) * 2 + 1
+    gain = 1.0 + 0.1 * rng.standard_normal(8)
+    bias = rng.standard_normal(8)
+    probe = rng.standard_normal((3, 5, 8))
+    _, got = _values_and_grads(ad.layer_norm, [x, gain, bias], (True, True, True), probe)
+    # the textbook spelling, one fresh array per step
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + ad.LAYER_NORM_EPS)
+    xhat = xc * inv
+    gy = probe * gain
+    gx = inv * (gy - gy.mean(axis=-1, keepdims=True) - xhat * (gy * xhat).mean(axis=-1, keepdims=True))
+    want = [xhat * gain + bias, gx, (probe * xhat).sum(axis=(0, 1)), probe.sum(axis=(0, 1))]
+    _assert_bitwise(got, want)
+
+
+def test_fused_nodes_write_no_input_and_no_handed_gradient():
+    rng = np.random.default_rng(36)
+    mlp_in = [ad.parameter(a) for a in _mlp_arrays(rng, (2, 3, 4), 5)]
+    ln_in = [ad.parameter(rng.standard_normal(s)) for s in ((2, 3, 4), (4,), (4,))]
+    for fn, inputs in ((ad.affine, mlp_in[:3]), (ad._mlp, mlp_in), (ad.layer_norm, ln_in)):
+        before = [t.data.copy() for t in inputs]
+        out = fn(*inputs)
+        g = rng.standard_normal(out.shape)
+        g_before = g.copy()
+        grads = out._grad_fn(g)
+        grads_before = [gr.copy() for gr in grads]
+        out._grad_fn(g)
+        assert np.array_equal(g, g_before), fn.__name__
+        for t, b in zip(inputs, before):
+            assert np.array_equal(t.data, b), fn.__name__
+        # a second backward through the node leaves the first one's results as they were
+        for gr, gb in zip(grads, grads_before):
+            assert np.array_equal(gr, gb), fn.__name__
+
+
+def test_mlp_under_no_grad_records_nothing():
+    rng = np.random.default_rng(37)
+    inputs = [ad.parameter(a) for a in _mlp_arrays(rng, (2, 3, 4), 5)]
+    recorded = ad._mlp(*inputs)
+    with ad.no_grad():
+        out = ad._mlp(*inputs)
+    assert recorded.requires_grad and recorded._parents == tuple(inputs)
+    assert not out.requires_grad and out._parents == () and out._grad_fn is None
+    assert out._op == recorded._op == "mlp"
+    np.testing.assert_array_equal(out.data, recorded.data)
+
+
+@pytest.mark.parametrize("length", [1, 2, 10, 51])
+def test_softmax_row_max_is_bitwise_the_reduction(length):
+    rng = np.random.default_rng(length)
+    x = rng.standard_normal((3, 4, 6, length))
+    # tied maxima: constant rows, a repeated maximum, signed zeros
+    x[0, 0] = 1.25
+    x[1, :, :, -1] = x[1].max(axis=-1)
+    x[2, 0] = 0.0
+    x[2, 1, :, ::2] = -0.0
+    x[2, 1, :, 1::2] = -1.0
+    want_max = x.max(axis=-1, keepdims=True)
+    assert np.array_equal(ad._row_max(x), want_max)
+    e = np.exp(x - want_max)
+    want = e / e.sum(axis=-1, keepdims=True)
+    assert np.array_equal(ad.softmax_rows(ad.constant(x)).data, want)
+    # in place, as attend runs it in its score buffer
+    buf = x.copy()
+    assert ad._softmax(buf, buf) is buf and np.array_equal(buf, want)
+
+
 # -- no_grad ----------------------------------------------------------------------
 
 

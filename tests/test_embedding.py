@@ -11,9 +11,16 @@ from memformer.embedding import (
     PositionalEmbedding,
     sinusoid_encoding,
     sspe_spatial,
-    sspe_spectral,
     tokenize_batch,
 )
+
+
+def _spectral(profiles, embed_dim):
+    """The forward's spectral encoding of ``profiles``, with the band table
+    an sspe embedding of that width builds for their band count."""
+    bands = np.shape(profiles)[-1]
+    pe = PositionalEmbedding("sspe", embed_dim, grid=1, bands=bands, rng=np.random.default_rng(0))
+    return embedding._sspe_spectral(profiles, pe.band_table)
 
 
 # -- tokenize_batch ----------------------------------------------------------
@@ -172,16 +179,16 @@ def test_spectral_encoding_one_hot_and_uniform():
     spectral_dim = 8
     one_hot = np.zeros(5)
     one_hot[0] = 1.0
-    enc = sspe_spectral(one_hot, 8)
+    enc = _spectral(one_hot, 8)
     np.testing.assert_array_equal(enc[0::2], np.zeros(spectral_dim // 2))
     np.testing.assert_array_equal(enc[1::2], np.ones(spectral_dim // 2))
     # all-zero profile falls back to the uniform mixture
-    per_band = np.stack([sspe_spectral(np.eye(5)[j], 8) for j in range(5)])
-    np.testing.assert_allclose(sspe_spectral(np.zeros(5), 8), per_band.mean(axis=0), rtol=1e-12)
+    per_band = np.stack([_spectral(np.eye(5)[j], 8) for j in range(5)])
+    np.testing.assert_allclose(_spectral(np.zeros(5), 8), per_band.mean(axis=0), rtol=1e-12)
 
 
 def test_spectral_encoding_two_band_mixture():
-    got = sspe_spectral(np.array([1.0, 1.0]), 8)
+    got = _spectral(np.array([1.0, 1.0]), 8)
     e0 = sinusoid_encoding(0.0, 8, 8)
     e1 = sinusoid_encoding(1.0, 8, 8)
     np.testing.assert_allclose(got, 0.5 * e0 + 0.5 * e1, rtol=1e-12)
@@ -190,21 +197,21 @@ def test_spectral_encoding_two_band_mixture():
 def test_spectral_encoding_broadcasts_over_profiles():
     profiles = np.abs(np.random.default_rng(1).standard_normal((2, 3, 5)))
     profiles[1, 2] = 0.0
-    got = sspe_spectral(profiles, 6)
+    got = _spectral(profiles, 6)
     assert got.shape == (2, 3, 6)
     for i in range(2):
         for j in range(3):
-            np.testing.assert_allclose(got[i, j], sspe_spectral(profiles[i, j], 6), rtol=1e-14)
+            np.testing.assert_allclose(got[i, j], _spectral(profiles[i, j], 6), rtol=1e-14)
 
 
 def test_spectral_encoding_rejects_negative():
     with pytest.raises(ValueError):
-        sspe_spectral(np.array([0.5, -0.1]), 8)
+        _spectral(np.array([0.5, -0.1]), 8)
 
 
 def test_sspe_dims_round_up_for_odd_embed():
     assert sspe_spatial(0, 0, 15).shape == (16,)
-    assert sspe_spectral(np.ones(3), 15).shape == (16,)
+    assert _spectral(np.ones(3), 15).shape == (16,)
     pe = PositionalEmbedding("sspe", embed_dim=15, grid=2, bands=3, rng=np.random.default_rng(0))
     assert pe.parameters()["sspe.proj_spatial"].shape == (16, 15)
     assert pe.band_table.shape == (3, 16)

@@ -308,6 +308,34 @@ def test_spot_gradients_match_finite_difference():
         np.testing.assert_allclose(p.grad, want, rtol=1e-4, atol=1e-7, err_msg=name)
 
 
+def _recorded_ops(loss):
+    """op label -> number of recorded nodes the loss backpropagates through."""
+    counts = {}
+    for node in ad._topo_order(loss):
+        counts[node._op] = counts.get(node._op, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("attention", ["memory", "standard"])
+def test_train_step_records_one_node_per_fused_sublayer(attention):
+    steps = []
+    for layers in (1, 2):
+        cfg = ModelConfig(layers=layers, classes=2, attention=attention)
+        model = MemFormer(cfg)
+        loss = ad.cross_entropy(model.forward(_batch(cfg, 2), train=True), np.array([0, 1]))
+        steps.append(_recorded_ops(loss))
+    one, two = steps
+    # outside the layers: one affine each in the patch projector and the
+    # classifier, one MLP in the SSPE fuse, and the token + positional add
+    # and the projector ReLU as the only primitive add and relu nodes
+    assert (one["affine"], one["mlp"], one["add"], one["relu"]) == (2, 2, 1, 1)
+    # each layer: one MLP (the FFN), two residual norms (attention and FFN),
+    # and none of the primitives they fuse
+    want = {"mlp": 1, "residual_norm": 2, "affine": 0, "add": 0, "relu": 0, "layer_norm": 0}
+    assert {op: two.get(op, 0) - one.get(op, 0) for op in want} == want
+    assert one["residual_norm"] == 2 and "layer_norm" not in one
+
+
 def test_train_forward_updates_each_layer_bank():
     cfg = _tiny_config(layers=2, memory=3)
     model = MemFormer(cfg)
