@@ -13,8 +13,17 @@ first, never a graph node: updates are detached by construction and no
 gradient can reach stored entries.
 
 Each ``attend`` call records one autodiff node with a hand-written backward.
-The forward splits heads with reshape/transpose views and does the softmax
-in place in the score buffer. The backward repeats the grad ops of the
+The forward splits heads with reshape/transpose views. The scores are
+bank-major: ``kh @ swapaxes(qh)`` is written into a (B, h, L, T) view of a
+buffer stored slot by slot, (L, B, h, T) in memory. The softmax over the
+bank axis then runs in place as one elementwise pass over a contiguous
+(B, h, T) block per bank slot, instead of one numpy reduce per L-long row,
+which costs more than the GEMMs when L = M_len = 10. Its sum is spelled out
+(``autodiff._col_sum``) because it must repeat numpy's pairwise order: a
+plain ``sum(axis=-2)`` adds the slots one after another and differs in the
+last bit. The weighted sum and the query and bank gradients are GEMMs that
+write straight into (B, T, h, d) buffers, so merging heads copies nothing.
+The backward works in the same layout and repeats the grad ops of the
 equivalent chain of primitives (reshape, transpose, matmul, scale, softmax)
 in that chain's order, so values and gradients are bitwise those of the
 chain. ``attend`` always returns its softmax weights too, as a constant, so
@@ -69,7 +78,9 @@ def attend(q, k_mem, v_mem, heads):
     L is the bank length (M_len here, or T for self-attention); a batch of 1
     is shared by every query row. Scores are scaled by 1/sqrt(K/heads) per
     head and softmaxed over the bank axis. Returns ``(out, weights)``: the
-    (B, T, K) output node and the weights as a constant (B, h, T, L) tensor.
+    (B, T, K) output node and the weights as a constant (B, h, T, L) tensor,
+    a transposed view of the bank-major (B, h, L, T) score buffer whose
+    memory is slot-major (L, B, h, T).
     """
     if q.ndim != 3 or k_mem.ndim != 3 or v_mem.ndim != 3:
         raise ValueError("attend expects rank-3 (batch, tokens, width) inputs")
@@ -85,32 +96,45 @@ def attend(q, k_mem, v_mem, heads):
     kh = k_mem.data.reshape(n, length, heads, d).transpose(0, 2, 1, 3)
     vh = v_mem.data.reshape(n, length, heads, d).transpose(0, 2, 1, 3)
     scale = 1.0 / np.sqrt(d)
-    weights = qh @ kh.transpose(0, 1, 3, 2)
-    weights *= scale
-    ad._softmax(weights, weights)
-    out = (weights @ vh).transpose(0, 2, 1, 3).reshape(b, t, k)
+    # bank-major scores (B, h, L, T) in slot-major memory: the softmax
+    # reduces over axis -2, one contiguous (B, h, T) block per bank slot
+    scores = np.empty((length, b, heads, t)).transpose(1, 2, 0, 3)
+    np.matmul(kh, np.swapaxes(qh, -1, -2), out=scores)
+    scores *= scale
+    ad._softmax(scores, scores)
+    weights = np.swapaxes(scores, -1, -2)
+    out = _merge_heads_matmul(weights, vh)
 
     def grad_fn(g):
-        # the chain's output gradient reached its weighted-sum matmul as a
-        # contiguous (B, h, T, d) buffer; BLAS sees the same layout here
+        # the gradient GEMMs read the output gradient as a contiguous
+        # (B, h, T, d) buffer, as the chain's weighted-sum matmul did
         g_out = np.ascontiguousarray(g.reshape(b, t, heads, d).transpose(0, 2, 1, 3))
         g_q = g_k = g_v = None
         if v_mem.requires_grad:
-            g_vh = ad._unbroadcast(np.swapaxes(weights, -1, -2) @ g_out, vh.shape)
-            g_v = g_vh.transpose(0, 2, 1, 3).reshape(bank_shape)
+            g_v = ad._unbroadcast(_merge_heads_matmul(scores, g_out), bank_shape)
         if q.requires_grad or k_mem.requires_grad:
-            g_s = g_out @ np.swapaxes(vh, -1, -2)
-            g_s -= (g_s * weights).sum(axis=-1, keepdims=True)
-            g_s *= weights
+            # empty_like keeps the scores' slot-major memory order
+            g_s = np.matmul(vh, np.swapaxes(g_out, -1, -2), out=np.empty_like(scores))
+            g_s -= ad._col_sum(g_s * scores)
+            g_s *= scores
             g_s *= scale
             if q.requires_grad:
-                g_q = (g_s @ kh).transpose(0, 2, 1, 3).reshape(b, t, k)
+                g_q = _merge_heads_matmul(np.swapaxes(g_s, -1, -2), kh)
             if k_mem.requires_grad:
-                g_kt = ad._unbroadcast(np.swapaxes(qh, -1, -2) @ g_s, (n, heads, d, length))
-                g_k = g_kt.transpose(0, 3, 1, 2).reshape(bank_shape)
+                g_k = ad._unbroadcast(_merge_heads_matmul(g_s, qh), bank_shape)
         return g_q, g_k, g_v
 
     return ad._node(out, (q, k_mem, v_mem), grad_fn, "attend"), ad.constant(weights)
+
+
+def _merge_heads_matmul(a, c):
+    """``a @ c`` for (B, h, m, p) @ (1 or B, h, p, d), written by the GEMM
+    straight into a (B, m, h, d) buffer and returned as (B, m, h*d), so the
+    heads merge without a copy."""
+    b, heads, m = a.shape[:3]
+    out = np.empty((b, m, heads, c.shape[-1]))
+    np.matmul(a, c, out=out.transpose(0, 2, 1, 3))
+    return out.reshape(b, m, -1)
 
 
 def residual_norm(x, y, gain, bias, rate=0.0, rng=None, train=False):

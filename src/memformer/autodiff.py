@@ -321,28 +321,80 @@ def relu(x):
     return _node(out, (x,), grad_fn, "relu")
 
 
-def _row_max(x):
-    """``x.max(axis=-1, keepdims=True)``, taken column by column.
+# The softmax kernel reduces over axis -2 of a (..., n, m) array, one
+# elementwise pass over a whole (..., m) slice per step, so a short reduced
+# axis (the M_len = 10 bank slots) costs n passes instead of one numpy reduce
+# per row. The results are bitwise those of numpy's reduce over the
+# contiguous rows ``np.swapaxes(x, -1, -2).copy()``: a max is exact in any
+# order, and the sum repeats numpy's pairwise order step by step.
+# ``x.sum(axis=-2)`` is not that order: it adds the slices one after another.
 
-    A max is exact in any order, so this is bitwise the reduction; over a
-    short last axis (the M_len = 10 bank slots) elementwise ``np.maximum``
-    on whole columns is several times faster than numpy's strided reduce.
+
+def _col_max(x):
+    """``x.max(axis=-2, keepdims=True)``, slice by slice in index order.
+
+    Where 0.0 and -0.0 tie for the maximum this keeps the first, while
+    numpy's vectorised reduce may keep either; ``x - max`` then differs only
+    in the sign of a zero, which ``exp`` maps to 1, so the softmax is the
+    same.
     """
-    m = x[..., 0].copy()
-    for j in range(1, x.shape[-1]):
-        np.maximum(m, x[..., j], out=m)
-    return m[..., None]
+    m = x[..., :1, :].copy()
+    for j in range(1, x.shape[-2]):
+        np.maximum(m, x[..., j : j + 1, :], out=m)
+    return m
+
+
+def _pairwise_sum(x, lo, n):
+    """Sum of slices ``lo .. lo+n-1`` on axis -2, in the order of numpy's
+    ``pairwise_sum``: a plain running sum from +0.0 below 8 terms; 8 running
+    sums combined as ((0+1)+(2+3))+((4+5)+(6+7)), then the tail, up to 128;
+    above that, two halves split at a multiple of 8."""
+    if n < 8:
+        s = np.zeros(x.shape[:-2] + (1, x.shape[-1]))
+        for j in range(lo, lo + n):
+            s += x[..., j : j + 1, :]
+        return s
+    if n <= 128:
+        end = lo + n - n % 8
+        r = x[..., lo : lo + 8, :]
+        if n < 16:
+            pairs = r[..., 0::2, :] + r[..., 1::2, :]
+        else:
+            # the running sums get their own buffer, which the pairs reuse
+            r = r + x[..., lo + 8 : lo + 16, :]
+            for j in range(lo + 16, end, 8):
+                r += x[..., j : j + 8, :]
+            pairs = r[..., 0::2, :]
+            pairs += r[..., 1::2, :]
+        pairs[..., 0::2, :] += pairs[..., 1::2, :]
+        s = pairs[..., :1, :]
+        s += pairs[..., 2:3, :]
+        for j in range(end, lo + n):
+            s += x[..., j : j + 1, :]
+        return s
+    half = n // 2 - (n // 2) % 8
+    s = _pairwise_sum(x, lo, half)
+    s += _pairwise_sum(x, lo + half, n - half)
+    return s
+
+
+def _col_sum(x):
+    """``x.sum(axis=-2, keepdims=True)`` with the values of the row reduce:
+    its pairwise sum, added to the reduction's +0.0 start."""
+    s = _pairwise_sum(x, 0, x.shape[-2])
+    s += 0.0
+    return s
 
 
 def _softmax(x, out):
-    """Softmax of ``x`` over its last axis, stabilised by max-subtraction,
-    written into ``out`` and returned. ``out`` may be ``x`` itself, so the
-    whole softmax needs no buffer beyond the result."""
+    """Softmax of ``x`` over axis -2, stabilised by max-subtraction, written
+    into ``out`` and returned. ``out`` may be ``x`` itself, so the whole
+    softmax needs no buffer beyond the result."""
     if not np.isfinite(x).all():
         raise ValueError("softmax input contains non-finite values")
-    np.subtract(x, _row_max(x), out=out)
+    np.subtract(x, _col_max(x), out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    out /= _col_sum(out)
     return out
 
 
@@ -352,7 +404,8 @@ def softmax_rows(logits):
     x = logits.data
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ValueError(f"softmax needs a non-empty last axis, got shape {x.shape}")
-    y = _softmax(x, np.empty_like(x))
+    y = np.empty_like(x)
+    _softmax(x[..., None], y[..., None])
 
     def grad_fn(g):
         dot = (g * y).sum(axis=-1, keepdims=True)

@@ -97,18 +97,21 @@ def extract_samples(cube, part, window):
     return extract_window(cube, part[:, 0], part[:, 1], window), part[:, 2] - 1
 
 
-def _batched_logits(model, windows, batch_size):
+def _batched_logits(model, count, batch_size, windows_of):
+    """Eval-mode logits of ``count`` windows, ``batch_size`` at a time;
+    ``windows_of(rows)`` returns the windows of the slice ``rows``."""
     out = []
     with ad.no_grad():
-        for start in range(0, len(windows), batch_size):
-            out.append(model.forward(windows[start : start + batch_size], train=False).data)
+        for start in range(0, count, batch_size):
+            batch = windows_of(slice(start, start + batch_size))
+            out.append(model.forward(batch, train=False).data)
     return np.concatenate(out, axis=0)
 
 
 def _eval_loss_acc(model, windows, labels, batch_size):
     if len(windows) == 0:
         return float("nan"), float("nan")
-    logits = _batched_logits(model, windows, batch_size)
+    logits = _batched_logits(model, len(windows), batch_size, windows.__getitem__)
     loss = ad.cross_entropy(ad.constant(logits), labels).data
     acc = float((np.argmax(logits, axis=1) == labels).mean())
     return float(loss), acc
@@ -193,15 +196,25 @@ def evaluate(model, cube, part, batch_size=64):
     """EvalReport over one manifest split (typically test).
 
     Only eval-mode forwards run, recording no graph, so memory banks and the
-    dropout stream are left untouched.
+    dropout stream are left untouched. A window's encoder output does not
+    depend on ``batch_size``; its logits may differ in the last bit, because
+    BLAS picks the classifier product's kernel by the batch's row count.
     """
+    if isinstance(batch_size, bool) or not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
+        raise ValueError(f"batch_size must be an int >= 1, got {batch_size!r}")
     if len(part) == 0:
         raise ValueError("evaluation split is empty")
     started = time.perf_counter()
-    windows, labels = extract_samples(cube, part, model.config.window)
+    labels = part[:, 2] - 1
     if labels.max() >= model.config.classes:
         raise ValueError("manifest contains a class id beyond the model's class count")
-    logits = _batched_logits(model, windows, batch_size)
+
+    # each batch's windows are cut when it runs, so the whole split's windows
+    # (25.7 MB for 1024 pixels at window 14 and 16 bands) never exist at once
+    def windows_of(rows):
+        return extract_samples(cube, part[rows], model.config.window)[0]
+
+    logits = _batched_logits(model, len(part), batch_size, windows_of)
     predicted = np.argmax(logits, axis=1)
     confusion = confusion_matrix(labels, predicted, model.config.classes)
     trainable, non_trainable = model.count_params()

@@ -173,11 +173,24 @@ def test_attend_gradients_match_finite_difference(batch, bank_batch, heads):
         np.testing.assert_allclose(x.grad, want, rtol=1e-6, atol=1e-9, err_msg=name)
 
 
-@pytest.mark.parametrize("batch, bank_batch, heads", _ATTEND_CASES)
-def test_attend_is_bitwise_the_primitive_chain(batch, bank_batch, heads):
+# the small cases at 6 tokens, a 7-entry bank and width 8, then the default
+# model's shapes: B=16, T=50, K=64 against its shared (1, 10, 64) bank and
+# against self-attention keys, at d = 8 and d = 64, where BLAS may take
+# another kernel or operand orientation
+_BITWISE_CASES = [pytest.param(*case, 6, 7, 8, id="-".join(map(str, case))) for case in _ATTEND_CASES] + [
+    pytest.param(16, 1, 8, 50, 10, 64, id="model-bank-h8"),
+    pytest.param(16, 1, 1, 50, 10, 64, id="model-bank-h1"),
+    pytest.param(16, 16, 8, 50, 50, 64, id="model-self-h8"),
+    pytest.param(16, 16, 1, 50, 50, 64, id="model-self-h1"),
+]
+
+
+@pytest.mark.parametrize("batch, bank_batch, heads, tokens, length, width", _BITWISE_CASES)
+def test_attend_is_bitwise_the_primitive_chain(batch, bank_batch, heads, tokens, length, width):
     rng = np.random.default_rng(20)
-    inputs = [rng.standard_normal(s) for s in ((batch, 6, 8), (bank_batch, 7, 8), (bank_batch, 7, 8))]
-    probe = ad.constant(rng.standard_normal((batch, 6, 8)))
+    shapes = ((batch, tokens, width), (bank_batch, length, width), (bank_batch, length, width))
+    inputs = [rng.standard_normal(s) for s in shapes]
+    probe = ad.constant(rng.standard_normal((batch, tokens, width)))
     results = []
     for fn in (attend, _chain_attend):
         q, k_m, v_m = (ad.parameter(x.copy()) for x in inputs)

@@ -533,6 +533,15 @@ def test_mlp_under_no_grad_records_nothing():
     np.testing.assert_array_equal(out.data, recorded.data)
 
 
+def _columns(rows):
+    """``rows`` (..., m, n) as the softmax kernel's (..., n, m) input."""
+    return np.ascontiguousarray(np.swapaxes(rows, -1, -2))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
 @pytest.mark.parametrize("length", [1, 2, 10, 51])
 def test_softmax_row_max_is_bitwise_the_reduction(length):
     rng = np.random.default_rng(length)
@@ -544,13 +553,66 @@ def test_softmax_row_max_is_bitwise_the_reduction(length):
     x[2, 1, :, ::2] = -0.0
     x[2, 1, :, 1::2] = -1.0
     want_max = x.max(axis=-1, keepdims=True)
-    assert np.array_equal(ad._row_max(x), want_max)
+    assert np.array_equal(np.swapaxes(ad._col_max(_columns(x)), -1, -2), want_max)
     e = np.exp(x - want_max)
     want = e / e.sum(axis=-1, keepdims=True)
     assert np.array_equal(ad.softmax_rows(ad.constant(x)).data, want)
-    # in place, as attend runs it in its score buffer
-    buf = x.copy()
-    assert ad._softmax(buf, buf) is buf and np.array_equal(buf, want)
+    # in place, as attend runs it in its bank-major score buffer
+    buf = _columns(x)
+    assert ad._softmax(buf, buf) is buf and np.array_equal(np.swapaxes(buf, -1, -2), want)
+
+
+# every branch of numpy's pairwise sum: under 8 terms, 8 running sums plus a
+# tail up to 128, and the recursive split above 128, one and two levels deep
+_COLUMN_LENGTHS = [*range(1, 140), 200, 257, 1000]
+
+
+def _hard_rows(rng, length):
+    """(3, 5, length) rows whose max and sum expose any change of order: values
+    spread over e^-20..e^20 with both signs, an all-(-0.0) row, an all-(+0.0)
+    row, and rows whose maximum is tied."""
+    rows = rng.standard_normal((3, 5, length)) * np.exp(rng.uniform(-20.0, 20.0, (3, 5, length)))
+    rows[1, 0] = -0.0
+    rows[1, 1] = 0.0
+    rows[1, 2] = 2.5
+    rows[1, 3, ::3] = rows[1, 3].max()
+    rows[1, 4] = -rows[1, 4] ** 2
+    rows[1, 4, ::2] = 0.0
+    return rows
+
+
+def test_column_max_and_sum_are_bitwise_numpy_row_reductions():
+    # bitwise, sign of zero included, against numpy's own reductions of the
+    # contiguous rows; a numpy whose summation order changes fails here
+    rng = np.random.default_rng(61)
+    for length in _COLUMN_LENGTHS:
+        rows = _hard_rows(rng, length)
+        want_max = rows.max(axis=-1, keepdims=True)
+        want_sum = rows.sum(axis=-1, keepdims=True)
+        # a contiguous (..., n, m) input and attend's slot-major memory
+        slot_major = np.empty((length, 3, 5)).transpose(1, 0, 2)
+        slot_major[...] = _columns(rows)
+        for cols in (_columns(rows), slot_major):
+            before = cols.copy()
+            assert _same_bits(np.swapaxes(ad._col_max(cols), -1, -2), want_max), length
+            assert _same_bits(np.swapaxes(ad._col_sum(cols), -1, -2), want_sum), length
+            assert _same_bits(cols, before), length
+
+
+def test_column_max_of_mixed_signed_zeros_does_not_reach_the_softmax():
+    # numpy's vectorised max may return either zero for a row of mixed 0.0
+    # and -0.0; the kernel takes the first in index order. The values agree,
+    # and x - max then gives the same softmax for either sign.
+    rng = np.random.default_rng(62)
+    for length in _COLUMN_LENGTHS:
+        rows = rng.choice([0.0, -0.0, -1.5], size=(4, length))
+        rows[:, 0] = -0.0
+        rows[:, -1] = 0.0
+        want_max = rows.max(axis=-1, keepdims=True)
+        assert np.array_equal(np.swapaxes(ad._col_max(_columns(rows)), -1, -2), want_max), length
+        e = np.exp(rows - want_max)
+        want = e / e.sum(axis=-1, keepdims=True)
+        assert _same_bits(ad.softmax_rows(ad.constant(rows)).data, want), length
 
 
 # -- no_grad ----------------------------------------------------------------------

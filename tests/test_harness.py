@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from memformer import autodiff as ad
 from memformer.data import stratified_split, synth_scene
 from memformer.harness import (
     DEFAULT_MEMORY_SIZES,
@@ -171,6 +172,49 @@ def test_evaluate_rejects_empty_split(scene):
     model = MemFormer(tiny_model_config())
     with pytest.raises(ValueError, match="empty"):
         evaluate(model, cube, np.zeros((0, 3), dtype=np.int64))
+
+
+@pytest.mark.parametrize("batch_size", [0, -1, 2.5, True, "64", None])
+def test_evaluate_rejects_a_batch_size_that_is_not_a_positive_int(scene, batch_size):
+    cube, _, manifest = scene
+    model = MemFormer(tiny_model_config())
+    with pytest.raises(ValueError, match="batch_size"):
+        evaluate(model, cube, manifest.test, batch_size=batch_size)
+
+
+@pytest.mark.parametrize("attention", ["memory", "standard"])
+def test_eval_features_do_not_depend_on_batch_size(scene, monkeypatch, attention):
+    # each window's encoder output is a function of that window alone: the
+    # attention scores of one sample never meet another's, whatever the batch.
+    # The classifier's (B, K) @ (K, C) product is BLAS's, whose kernel for a
+    # given row depends on the batch's row count, so the logits agree to
+    # rounding and the features feeding them bitwise.
+    cube, _, manifest = scene
+    model = MemFormer(tiny_model_config(attention=attention, embed=64, heads=8, memory=10))
+    rng = np.random.default_rng(13)
+    for name, bank in model.buffers().items():
+        model.set_buffer(name, 0.5 * rng.standard_normal(bank.shape))
+    calls = []
+    affine = ad.affine
+
+    def keep_classifier_calls(x, weight, bias):
+        out = affine(x, weight, bias)
+        if weight is model.classifier_w:
+            calls.append((x.data, out.data))
+        return out
+
+    monkeypatch.setattr(ad, "affine", keep_classifier_calls)
+    pooled, logits, reports = [], [], []
+    for batch_size in (1, 7, 64, np.int64(7)):
+        calls.clear()
+        reports.append(evaluate(model, cube, manifest.test, batch_size=batch_size))
+        pooled.append(np.concatenate([x for x, _ in calls]))
+        logits.append(np.concatenate([out for _, out in calls]))
+    assert len(manifest.test) > 7 and pooled[0].shape == (len(manifest.test), 64)
+    for got, got_logits, report in zip(pooled[1:], logits[1:], reports[1:]):
+        assert got.tobytes() == pooled[0].tobytes()
+        np.testing.assert_allclose(got_logits, logits[0], rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(report.confusion, reports[0].confusion)
 
 
 def test_evaluate_is_pure(scene):
