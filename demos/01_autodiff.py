@@ -1,6 +1,6 @@
 """Walk through the reverse-mode tensor kernel: build a small computation,
 backpropagate, confirm every gradient against central finite differences,
-then cut the graph with ``detach`` and switch recording off with ``no_grad``.
+then switch recording off with ``no_grad``.
 """
 
 import numpy as np
@@ -37,10 +37,6 @@ fd = ad.finite_diff_grad(loss_fn, w)
 err = np.abs(fd.data - w.grad).max()
 print(f"max |autodiff - finite difference| over dL/dw = {err:.2e}")
 assert err < 1e-8
-
-print("\n== detaching cuts the graph ==")
-frozen = hidden.detach()
-print(f"detached tensor requires_grad = {frozen.requires_grad}")
 
 print("\n== no_grad records no graph at all ==")
 with ad.no_grad():

@@ -4,12 +4,13 @@ identically.
 """
 
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from memformer.data import stratified_split, synth_scene
-from memformer.harness import TrainConfig, evaluate, train, write_epoch_log
+from memformer.harness import TrainConfig, evaluate, train, write_report_csv
 from memformer.model import MemFormer, ModelConfig, load_checkpoint, save_checkpoint
 
 print("== data ==")
@@ -45,7 +46,7 @@ with tempfile.TemporaryDirectory() as tmp:
     ckpt = Path(tmp) / "model.ckpt"
     save_checkpoint(model, ckpt)
     log = Path(tmp) / "log.csv"
-    write_epoch_log(result.history, log)
+    write_report_csv([asdict(s) for s in result.history], log)
     print(f"checkpoint: {ckpt.stat().st_size} bytes; log: {len(log.read_text().splitlines())} lines")
     reloaded = load_checkpoint(ckpt)
     again = evaluate(reloaded, cube, manifest.test)

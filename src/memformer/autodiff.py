@@ -107,10 +107,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
     # -- graph management ----------------------------------------------
-    def detach(self):
-        """A constant tensor sharing this tensor's values."""
-        return Tensor(self.data, requires_grad=False)
-
     def backward(self):
         """Populate ``grad`` for every reachable requires_grad ancestor.
 
@@ -326,22 +322,9 @@ def relu(x):
 # axis (the M_len = 10 bank slots) costs n passes instead of one numpy reduce
 # per row. The results are bitwise those of numpy's reduce over the
 # contiguous rows ``np.swapaxes(x, -1, -2).copy()``: a max is exact in any
-# order, and the sum repeats numpy's pairwise order step by step.
-# ``x.sum(axis=-2)`` is not that order: it adds the slices one after another.
-
-
-def _col_max(x):
-    """``x.max(axis=-2, keepdims=True)``, slice by slice in index order.
-
-    Where 0.0 and -0.0 tie for the maximum this keeps the first, while
-    numpy's vectorised reduce may keep either; ``x - max`` then differs only
-    in the sign of a zero, which ``exp`` maps to 1, so the softmax is the
-    same.
-    """
-    m = x[..., :1, :].copy()
-    for j in range(1, x.shape[-2]):
-        np.maximum(m, x[..., j : j + 1, :], out=m)
-    return m
+# order, so numpy's own ``x.max(axis=-2)`` serves, and the sum repeats
+# numpy's pairwise order step by step. ``x.sum(axis=-2)`` is not that order:
+# it adds the slices one after another.
 
 
 def _pairwise_sum(x, lo, n):
@@ -392,7 +375,7 @@ def _softmax(x, out):
     softmax needs no buffer beyond the result."""
     if not np.isfinite(x).all():
         raise ValueError("softmax input contains non-finite values")
-    np.subtract(x, _col_max(x), out=out)
+    np.subtract(x, x.max(axis=-2, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= _col_sum(out)
     return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,6 @@ from .harness import (
     parse_config_file,
     sweep_memory,
     train,
-    write_epoch_log,
     write_report_csv,
     write_report_text,
 )
@@ -219,7 +219,7 @@ def _cmd_train(args):
             f"epoch {s.epoch}: train_loss={s.train_loss:.6f} train_acc={s.train_acc:.4f} "
             f"val_loss={s.val_loss:.6f} val_acc={s.val_acc:.4f}"
         )
-    write_epoch_log(result.history, args.log_out)
+    write_report_csv([asdict(s) for s in result.history], args.log_out)
     save_checkpoint(model, args.checkpoint_out)
     print(f"best epoch {result.best_epoch} (val_acc={result.best_val_acc:.4f})")
     print(f"wrote {args.checkpoint_out} and {args.log_out} in {result.seconds:.1f}s")

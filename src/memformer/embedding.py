@@ -131,17 +131,6 @@ def sspe_spatial(x, y, embed_dim):
     )
 
 
-def _sspe_spectral(profiles, band_table):
-    """K_sigma-vectors: energy-weighted mixtures of per-band-index sinusoids.
-
-    ``profiles`` is (..., S) nonnegative band energies and ``band_table`` the
-    (S, K_sigma) sinusoids of each band index; the result is (..., K_sigma).
-    Weights are each profile normalized to sum 1; an all-zero profile falls
-    back to uniform weights.
-    """
-    return _band_weights(profiles) @ band_table
-
-
 def _band_weights(profiles):
     """Each (..., S) band profile normalized to sum 1; all-zero ones become uniform."""
     profiles = np.asarray(profiles, dtype=np.float64)
@@ -216,7 +205,8 @@ class PositionalEmbedding:
 
         spatial = np.broadcast_to(self.spatial, (shape[0],) + self.spatial.shape).copy()
         spa = ad.matmul(ad.constant(spatial), p["sspe.proj_spatial"])
-        spectral = _sspe_spectral(np.abs(tokens).mean(axis=(2, 3)), self.band_table)
+        # K_sigma-vectors: each token's band energies weighting the band sinusoids
+        spectral = _band_weights(np.abs(tokens).mean(axis=(2, 3))) @ self.band_table
         spe = ad.matmul(ad.constant(spectral), p["sspe.proj_spectral"])
         joint = ad.concat([spa, spe], axis=-1)
         return ad._mlp(joint, p["sspe.fuse_w1"], p["sspe.fuse_b1"], p["sspe.fuse_w2"], p["sspe.fuse_b2"])

@@ -5,7 +5,9 @@ Per epoch it records the mean train-mode batch loss plus eval-mode accuracy
 on the train and validation splits, and it keeps a snapshot of the best
 validation accuracy to restore at the end. Memory banks mutate only inside
 train-mode forwards, in batch order, so a (seed, config, data) triple fixes
-the loss trace bitwise.
+the loss trace bitwise. Every pass over a split, train steps and evaluation
+alike, cuts its windows one batch at a time, so no split's windows are held
+at once.
 
 The ablation drivers retrain fresh models that differ in exactly one config
 field and emit one row per variant: metrics, census, the split-manifest
@@ -24,8 +26,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import extract_window, manifest_sha256
+from .embedding import PE_MODES
 from .metrics import EvalReport, confusion_matrix
-from .model import MemFormer, ModelConfig
+from .model import ATTENTION_MODES, MemFormer, ModelConfig
 from .optim import Adam
 
 __all__ = [
@@ -43,7 +46,6 @@ __all__ = [
     "parse_config_file",
     "write_report_csv",
     "write_report_text",
-    "write_epoch_log",
 ]
 
 DEFAULT_MEMORY_SIZES = (1, 5, 10, 15, 20, 25, 30)
@@ -97,22 +99,22 @@ def extract_samples(cube, part, window):
     return extract_window(cube, part[:, 0], part[:, 1], window), part[:, 2] - 1
 
 
-def _batched_logits(model, count, batch_size, windows_of):
-    """Eval-mode logits of ``count`` windows, ``batch_size`` at a time;
-    ``windows_of(rows)`` returns the windows of the slice ``rows``."""
+def _split_logits(model, cube, part, batch_size):
+    """Eval-mode logits of one manifest split, ``batch_size`` windows at a time."""
     out = []
     with ad.no_grad():
-        for start in range(0, count, batch_size):
-            batch = windows_of(slice(start, start + batch_size))
-            out.append(model.forward(batch, train=False).data)
+        for start in range(0, len(part), batch_size):
+            windows, _ = extract_samples(cube, part[start : start + batch_size], model.config.window)
+            out.append(model.forward(windows, train=False).data)
     return np.concatenate(out, axis=0)
 
 
-def _eval_loss_acc(model, windows, labels, batch_size):
-    if len(windows) == 0:
+def _eval_loss_acc(model, cube, part, batch_size):
+    if len(part) == 0:
         return float("nan"), float("nan")
-    logits = _batched_logits(model, len(windows), batch_size, windows.__getitem__)
-    loss = ad.cross_entropy(ad.constant(logits), labels).data
+    labels = part[:, 2] - 1
+    logits = _split_logits(model, cube, part, batch_size)
+    loss = ad._nll(logits, labels)[0].mean()
     acc = float((np.argmax(logits, axis=1) == labels).mean())
     return float(loss), acc
 
@@ -128,10 +130,14 @@ def train(model, cube, manifest, cfg):
     if len(manifest.train) == 0:
         raise ValueError("train split is empty")
     window = model.config.window
-    x_train, y_train = extract_samples(cube, manifest.train, window)
-    x_val, y_val = extract_samples(cube, manifest.val, window)
+    y_train = manifest.train[:, 2] - 1
+    y_val = manifest.val[:, 2] - 1
     if y_train.max() >= model.config.classes or (len(y_val) and y_val.max() >= model.config.classes):
         raise ValueError("manifest contains a class id beyond the model's class count")
+    # windows are cut per batch, so a center outside the scene must fail
+    # here, before a step has changed the model
+    for part in (manifest.train, manifest.val):
+        extract_window(cube, part[:, 0], part[:, 1], 1)
 
     opt = Adam(
         model.parameters(),
@@ -148,23 +154,24 @@ def train(model, cube, manifest, cfg):
     best_state = None
 
     for epoch in range(1, cfg.epochs + 1):
-        order = shuffle_rng.permutation(len(x_train))
+        order = shuffle_rng.permutation(len(y_train))
         # per-sample losses keyed by dataset index, so the epoch mean does not
         # depend on the shuffle's summation order or on a ragged final batch
-        sample_losses = np.zeros(len(x_train))
+        sample_losses = np.zeros(len(y_train))
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
+            windows, labels = extract_samples(cube, manifest.train[idx], window)
             opt.zero_grad()
-            logits = model.forward(x_train[idx], train=True)
-            loss = ad.cross_entropy(logits, y_train[idx])
+            logits = model.forward(windows, train=True)
+            loss = ad.cross_entropy(logits, labels)
             if not np.isfinite(loss.data):
                 raise ValueError(f"epoch {epoch}: non-finite training loss")
             loss.backward()
             opt.step()
-            sample_losses[idx] = ad._nll(logits.data, y_train[idx])[0]
+            sample_losses[idx] = ad._nll(logits.data, labels)[0]
         train_loss = float(sample_losses.mean())
-        _, train_acc = _eval_loss_acc(model, x_train, y_train, cfg.batch_size)
-        val_loss, val_acc = _eval_loss_acc(model, x_val, y_val, cfg.batch_size)
+        _, train_acc = _eval_loss_acc(model, cube, manifest.train, cfg.batch_size)
+        val_loss, val_acc = _eval_loss_acc(model, cube, manifest.val, cfg.batch_size)
         history.append(EpochStats(epoch, train_loss, train_acc, val_loss, val_acc))
         # ties go to the later epoch: equal validation, more training
         if len(y_val) and val_acc >= best_val:
@@ -208,13 +215,7 @@ def evaluate(model, cube, part, batch_size=64):
     labels = part[:, 2] - 1
     if labels.max() >= model.config.classes:
         raise ValueError("manifest contains a class id beyond the model's class count")
-
-    # each batch's windows are cut when it runs, so the whole split's windows
-    # (25.7 MB for 1024 pixels at window 14 and 16 bands) never exist at once
-    def windows_of(rows):
-        return extract_samples(cube, part[rows], model.config.window)[0]
-
-    logits = _batched_logits(model, len(part), batch_size, windows_of)
+    logits = _split_logits(model, cube, part, batch_size)
     predicted = np.argmax(logits, axis=1)
     confusion = confusion_matrix(labels, predicted, model.config.classes)
     trainable, non_trainable = model.count_params()
@@ -247,40 +248,37 @@ def _run_trial(cube, manifest, model_cfg, train_cfg):
     return result, report
 
 
-def _trial_row(key, value, cube, manifest, model_cfg, train_cfg, exclude):
-    result, report = _run_trial(cube, manifest, model_cfg, train_cfg)
-    return {
-        key: value,
-        "oa": report.oa,
-        "aa": report.aa,
-        "kappa": report.kappa,
-        "trainable_params": report.trainable_params,
-        "non_trainable_params": report.non_trainable_params,
-        "best_epoch": result.best_epoch,
-        "train_seconds": round(result.seconds, 3),
-        "manifest_sha256": manifest_sha256(manifest),
-        "fingerprint": config_fingerprint(model_cfg, train_cfg, exclude=exclude),
-    }
-
-
-def ablate_attention(cube, manifest, model_cfg, train_cfg):
-    """Two rows: memory vs standard attention, everything else identical."""
+def _sweep(key, field, values, cube, manifest, model_cfg, train_cfg):
+    """One row per value of the ModelConfig ``field``, every other field held."""
     rows = []
-    for mode in ("memory", "standard"):
-        cfg = replace(model_cfg, attention=mode)
+    for value in values:
+        cfg = replace(model_cfg, **{field: value})
+        result, report = _run_trial(cube, manifest, cfg, train_cfg)
         rows.append(
-            _trial_row("attention", mode, cube, manifest, cfg, train_cfg, ("attention",))
+            {
+                key: value,
+                "oa": report.oa,
+                "aa": report.aa,
+                "kappa": report.kappa,
+                "trainable_params": report.trainable_params,
+                "non_trainable_params": report.non_trainable_params,
+                "best_epoch": result.best_epoch,
+                "train_seconds": round(result.seconds, 3),
+                "manifest_sha256": manifest_sha256(manifest),
+                "fingerprint": config_fingerprint(cfg, train_cfg, exclude=(field,)),
+            }
         )
     return rows
 
 
+def ablate_attention(cube, manifest, model_cfg, train_cfg):
+    """Two rows: memory vs standard attention, everything else identical."""
+    return _sweep("attention", "attention", ATTENTION_MODES, cube, manifest, model_cfg, train_cfg)
+
+
 def ablate_pe(cube, manifest, model_cfg, train_cfg):
     """Four rows, one per positional-embedding mode."""
-    rows = []
-    for mode in ("none", "learnable", "sinusoidal1d", "sspe"):
-        cfg = replace(model_cfg, pe_mode=mode)
-        rows.append(_trial_row("pe_mode", mode, cube, manifest, cfg, train_cfg, ("pe_mode",)))
-    return rows
+    return _sweep("pe_mode", "pe_mode", PE_MODES, cube, manifest, model_cfg, train_cfg)
 
 
 def sweep_memory(cube, manifest, model_cfg, train_cfg, sizes=DEFAULT_MEMORY_SIZES):
@@ -290,13 +288,8 @@ def sweep_memory(cube, manifest, model_cfg, train_cfg, sizes=DEFAULT_MEMORY_SIZE
         raise ValueError("memory size list is empty")
     if min(sizes) < 1:
         raise ValueError(f"memory sizes must be >= 1, got {sizes}")
-    rows = []
-    for size in sizes:
-        cfg = replace(model_cfg, memory=size, attention="memory")
-        rows.append(
-            _trial_row("memory_size", size, cube, manifest, cfg, train_cfg, ("memory",))
-        )
-    return rows
+    cfg = replace(model_cfg, attention="memory")
+    return _sweep("memory_size", "memory", sizes, cube, manifest, cfg, train_cfg)
 
 
 # -- config files and reports -------------------------------------------------
@@ -376,13 +369,3 @@ def _fmt(value):
         return f"{value:.4f}"
     return str(value)
 
-
-def write_epoch_log(history, path):
-    """Per-epoch CSV: epoch, train_loss, train_acc, val_loss, val_acc."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "train_acc", "val_loss", "val_acc"])
-        for s in history:
-            writer.writerow(
-                [s.epoch, repr(s.train_loss), repr(s.train_acc), repr(s.val_loss), repr(s.val_acc)]
-            )

@@ -304,7 +304,8 @@ def test_second_backward_sums_onto_the_first():
 
 def test_detach_blocks_gradient():
     x = ad.parameter(np.array([2.0]))
-    y = ad.mul(x, x).detach()
+    with ad.no_grad():
+        y = ad.mul(x, x)
     z = ad.tensor_sum(ad.mul(y, x))
     z.backward()
     # only the direct factor contributes: d/dx (const * x) = const = 4
@@ -553,7 +554,7 @@ def test_softmax_row_max_is_bitwise_the_reduction(length):
     x[2, 1, :, ::2] = -0.0
     x[2, 1, :, 1::2] = -1.0
     want_max = x.max(axis=-1, keepdims=True)
-    assert np.array_equal(np.swapaxes(ad._col_max(_columns(x)), -1, -2), want_max)
+    assert np.array_equal(np.swapaxes(_columns(x).max(axis=-2, keepdims=True), -1, -2), want_max)
     e = np.exp(x - want_max)
     want = e / e.sum(axis=-1, keepdims=True)
     assert np.array_equal(ad.softmax_rows(ad.constant(x)).data, want)
@@ -594,22 +595,23 @@ def test_column_max_and_sum_are_bitwise_numpy_row_reductions():
         slot_major[...] = _columns(rows)
         for cols in (_columns(rows), slot_major):
             before = cols.copy()
-            assert _same_bits(np.swapaxes(ad._col_max(cols), -1, -2), want_max), length
+            assert _same_bits(np.swapaxes(cols.max(axis=-2, keepdims=True), -1, -2), want_max), length
             assert _same_bits(np.swapaxes(ad._col_sum(cols), -1, -2), want_sum), length
             assert _same_bits(cols, before), length
 
 
 def test_column_max_of_mixed_signed_zeros_does_not_reach_the_softmax():
     # numpy's vectorised max may return either zero for a row of mixed 0.0
-    # and -0.0; the kernel takes the first in index order. The values agree,
-    # and x - max then gives the same softmax for either sign.
+    # and -0.0, so its column and row reductions may keep different ones. The
+    # values agree, and x - max then gives the same softmax for either sign.
     rng = np.random.default_rng(62)
     for length in _COLUMN_LENGTHS:
         rows = rng.choice([0.0, -0.0, -1.5], size=(4, length))
         rows[:, 0] = -0.0
         rows[:, -1] = 0.0
         want_max = rows.max(axis=-1, keepdims=True)
-        assert np.array_equal(np.swapaxes(ad._col_max(_columns(rows)), -1, -2), want_max), length
+        col_max = _columns(rows).max(axis=-2, keepdims=True)
+        assert np.array_equal(np.swapaxes(col_max, -1, -2), want_max), length
         e = np.exp(rows - want_max)
         want = e / e.sum(axis=-1, keepdims=True)
         assert _same_bits(ad.softmax_rows(ad.constant(rows)).data, want), length

@@ -20,7 +20,7 @@ def _spectral(profiles, embed_dim):
     an sspe embedding of that width builds for their band count."""
     bands = np.shape(profiles)[-1]
     pe = PositionalEmbedding("sspe", embed_dim, grid=1, bands=bands, rng=np.random.default_rng(0))
-    return embedding._sspe_spectral(profiles, pe.band_table)
+    return embedding._band_weights(profiles) @ pe.band_table
 
 
 # -- tokenize_batch ----------------------------------------------------------

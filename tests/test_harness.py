@@ -2,12 +2,14 @@
 
 import csv
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from memformer import autodiff as ad
-from memformer.data import stratified_split, synth_scene
+from memformer import harness
+from memformer.data import SplitManifest, stratified_split, synth_scene
 from memformer.harness import (
     DEFAULT_MEMORY_SIZES,
     TrainConfig,
@@ -19,7 +21,6 @@ from memformer.harness import (
     parse_config_file,
     sweep_memory,
     train,
-    write_epoch_log,
     write_report_csv,
     write_report_text,
 )
@@ -107,6 +108,18 @@ def test_train_rejects_empty_train_split(scene):
         train(model, cube, manifest, TrainConfig(epochs=1))
 
 
+def test_train_rejects_a_center_outside_the_scene_before_any_step(scene):
+    cube, _, manifest = scene
+    val = manifest.val.copy()
+    val[-1, 0] = cube.height
+    model = MemFormer(tiny_model_config())
+    before = {name: p.data.copy() for name, p in model.parameters().items()}
+    with pytest.raises(ValueError, match="outside"):
+        train(model, cube, SplitManifest(manifest.train, val, manifest.test), TrainConfig(epochs=1))
+    for name, p in model.parameters().items():
+        np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+
+
 def test_train_loss_decreases_and_accuracy_rises(scene):
     cube, _, manifest = scene
     model = MemFormer(tiny_model_config())
@@ -165,6 +178,24 @@ def test_empty_validation_split_keeps_final_epoch(scene):
     assert result.best_epoch == 3
     assert math.isnan(result.best_val_acc)
     assert all(math.isnan(s.val_loss) and math.isnan(s.val_acc) for s in result.history)
+
+
+def test_every_pass_over_a_split_cuts_one_batch_of_windows_at_a_time(scene, monkeypatch):
+    cube, _, manifest = scene
+    cut = []
+    extract = harness.extract_samples
+
+    def counting(cube, part, window):
+        cut.append(len(part))
+        return extract(cube, part, window)
+
+    monkeypatch.setattr(harness, "extract_samples", counting)
+    model = MemFormer(tiny_model_config())
+    train(model, cube, manifest, TrainConfig(epochs=2, batch_size=8, seed=0))
+    evaluate(model, cube, manifest.test, batch_size=8)
+    assert max(cut) <= 8 < len(manifest.train)
+    # per epoch: the train steps, then the train and val accuracy passes
+    assert sum(cut) == 2 * (2 * len(manifest.train) + len(manifest.val)) + len(manifest.test)
 
 
 def test_evaluate_rejects_empty_split(scene):
@@ -411,7 +442,7 @@ def test_write_epoch_log_round_trips_floats(tmp_path):
 
     history = [EpochStats(1, 1.0 / 3.0, 0.5, float("nan"), float("nan"))]
     path = tmp_path / "log.csv"
-    write_epoch_log(history, path)
+    write_report_csv([asdict(s) for s in history], path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"]
