@@ -3,7 +3,14 @@
 Everything is float64: central finite differences (the gradient oracle used
 throughout the test suite) are meaningless in float32. The compute graph is
 the web of parent links recorded on each result tensor; ``Tensor.backward``
-replays it once, in reverse topological order.
+replays it once, in reverse topological order, and consumes it as it goes:
+once a node's ``grad_fn`` has handed its parents their gradients, the node
+drops its own gradient and its ``grad_fn``, and with it every array the
+closure saved (an FFN hidden layer, LayerNorm's ``xhat``, attention
+weights). Only leaves keep their gradients. Each node keeps its values and
+its parent links, so the consumed graph is freed as a whole when the last
+reference to its result goes. A graph can be backpropagated once: a second
+``backward`` that reaches a consumed node raises ``ValueError``.
 
 Each primitive has one spelling, a module function (``add``, ``matmul``,
 ``tensor_mean``, ...); ``Tensor`` has no operator overloads or shape methods.
@@ -38,12 +45,15 @@ made inside it is a constant with no parents and no ``grad_fn``, so each
 intermediate is freed as soon as nothing reads its values. The values are
 the same as with recording on. Leaves are unaffected: ``parameter`` and
 ``glorot_uniform`` still make trainable tensors inside the block. Use it
-around forwards whose results are only read, never backpropagated.
+around forwards whose results are only read, never backpropagated. The
+switch is a ``contextvars.ContextVar``, so a block covers only the thread
+that entered it; a worker thread enters its own.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 
 import numpy as np
 
@@ -108,12 +118,16 @@ class Tensor:
 
     # -- graph management ----------------------------------------------
     def backward(self):
-        """Populate ``grad`` for every reachable requires_grad ancestor.
+        """Populate ``grad`` for every reachable requires_grad leaf.
 
         Only defined for scalar results (a loss). Each recorded primitive is
-        visited exactly once, in reverse topological order. Gradients add
-        onto any ``grad`` already present, so two backward passes without
-        clearing it sum.
+        visited exactly once, in reverse topological order; once it has
+        handed its parents their gradients, its own ``grad`` and ``grad_fn``
+        are set to None, so only leaves keep gradients. Leaf gradients add
+        onto any ``grad`` already present, so two backward passes over
+        separate graphs without clearing it sum. A graph can be
+        backpropagated once: reaching a node an earlier backward consumed
+        raises ``ValueError`` before any gradient changes.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.data.shape}")
@@ -121,13 +135,17 @@ class Tensor:
             return
         order = _topo_order(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._grad_fn is None or node.grad is None:
+        while order:
+            node = order.pop()
+            if node._grad_fn is None:  # a leaf
                 continue
-            for parent, g in zip(node._parents, node._grad_fn(node.grad)):
-                if g is None or not parent.requires_grad:
-                    continue
-                parent.grad = g if parent.grad is None else parent.grad + g
+            if node.grad is not None:
+                for parent, g in zip(node._parents, node._grad_fn(node.grad)):
+                    if g is None or not parent.requires_grad:
+                        continue
+                    parent.grad = g if parent.grad is None else parent.grad + g
+            node.grad = None
+            node._grad_fn = None
 
 
 def constant(data):
@@ -157,7 +175,11 @@ def _as_tensor(x):
 
 
 def _topo_order(root):
-    """Ancestors of ``root`` that require grad, in topological order."""
+    """Ancestors of ``root`` that require grad, in topological order.
+
+    Raises ``ValueError`` at a node an earlier backward consumed: it has
+    parents but no ``grad_fn`` left.
+    """
     order = []
     visited = set()
     stack = [(root, False)]
@@ -169,6 +191,8 @@ def _topo_order(root):
         if id(node) in visited:
             continue
         visited.add(id(node))
+        if node._grad_fn is None and node._parents:
+            raise ValueError(f"backward reached a {node._op!r} node an earlier backward already consumed")
         stack.append((node, True))
         for p in node._parents:
             if p.requires_grad and id(p) not in visited:
@@ -187,24 +211,23 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-_recording = True
+_recording = contextvars.ContextVar("memformer_autodiff_recording", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Record no graph inside the block; the previous state returns on exit,
-    also when the block raises, so blocks nest."""
-    global _recording
-    saved = _recording
-    _recording = False
+    """Record no graph inside the block, in the calling thread only; the
+    previous state returns on exit, also when the block raises, so blocks
+    nest."""
+    token = _recording.set(False)
     try:
         yield
     finally:
-        _recording = saved
+        _recording.reset(token)
 
 
 def _node(data, parents, grad_fn, op):
-    if not _recording:
+    if not _recording.get():
         return Tensor(data, False, (), None, op)
     req = any(p.requires_grad for p in parents)
     return Tensor(data, req, parents, grad_fn if req else None, op)

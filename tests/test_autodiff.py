@@ -5,6 +5,8 @@ difference of the same scalarised computation. float64 with step 1e-5 puts
 the truncation error around 1e-10 relative, so the tolerances here are tight.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -690,3 +692,68 @@ def test_no_grad_leaves_stay_trainable():
     loss.backward()
     np.testing.assert_allclose(p.grad, w.data.sum(axis=1), rtol=1e-12)
     np.testing.assert_allclose(w.grad, np.ones((3, 2)), rtol=1e-12)
+
+
+def test_backward_twice_over_one_root_names_the_consumed_op():
+    x = ad.parameter(np.array([1.0, -2.0]))
+    loss = ad.tensor_sum(ad.mul(x, x))
+    loss.backward()
+    with pytest.raises(ValueError, match="'sum' node"):
+        loss.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, -4.0])
+
+
+def test_backward_into_a_subgraph_another_root_consumed_raises():
+    x = ad.parameter(np.array([1.0, -2.0]))
+    y = ad.mul(x, x)
+    ad.tensor_sum(y).backward()
+    second = ad.tensor_mean(y)
+    with pytest.raises(ValueError, match="'mul' node"):
+        second.backward()
+    # the guard runs before any gradient is handed out
+    np.testing.assert_array_equal(x.grad, [2.0, -4.0])
+    assert second.grad is None
+
+
+def test_no_grad_is_per_thread():
+    # thread "early" enters nested blocks and leaves them while thread
+    # "late" is still inside its own; with one shared switch, early's exit
+    # would turn recording back on inside late's block, and late's exit
+    # would leave it off for everyone
+    x = ad.parameter(np.array([2.0]))
+    early_inside, late_inside, early_left = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def early():
+        with ad.no_grad():
+            with ad.no_grad():
+                early_inside.set()
+                seen["early waited"] = late_inside.wait(10)
+                seen["early inside"] = ad.mul(x, x).requires_grad
+        early_left.set()
+        seen["early after"] = ad.mul(x, x).requires_grad
+
+    def late():
+        seen["late waited"] = early_inside.wait(10)
+        with ad.no_grad():
+            late_inside.set()
+            seen["late waited again"] = early_left.wait(10)
+            seen["late inside"] = ad.mul(x, x).requires_grad
+        seen["late after"] = ad.mul(x, x).requires_grad
+
+    threads = [threading.Thread(target=early), threading.Thread(target=late)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(20)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == {
+        "early waited": True,
+        "early inside": False,
+        "early after": True,
+        "late waited": True,
+        "late waited again": True,
+        "late inside": False,
+        "late after": True,
+    }
+    assert ad.mul(x, x).requires_grad

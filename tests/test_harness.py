@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -196,6 +197,23 @@ def test_every_pass_over_a_split_cuts_one_batch_of_windows_at_a_time(scene, monk
     assert max(cut) <= 8 < len(manifest.train)
     # per epoch: the train steps, then the train and val accuracy passes
     assert sum(cut) == 2 * (2 * len(manifest.train) + len(manifest.val)) + len(manifest.test)
+
+
+def test_train_epoch_numpy_peak_stays_below_the_retained_graph_peak():
+    # one epoch at B=16 on the benchmark's scene, split and model; traced
+    # peaks: 65.2 MB while every node kept its gradient and saved arrays
+    # until the next step's forward replaced the graph, 42.9 MB now that
+    # backward releases them; the limit is the midpoint
+    cube, labels = synth_scene(32, 32, 16, 3, noise_sigma=0.05, blob_count=2, seed=0)
+    manifest = stratified_split(labels, (0.20, 0.05, 0.50), seed=1)
+    model = MemFormer(ModelConfig(classes=3, dropout=0.0, seed=1))
+    tracemalloc.start()
+    try:
+        train(model, cube, manifest, TrainConfig(epochs=1, batch_size=16, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (65.2e6 + 42.9e6) / 2
 
 
 def test_evaluate_rejects_empty_split(scene):

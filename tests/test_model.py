@@ -2,6 +2,7 @@
 
 import re
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,57 @@ def test_train_step_records_one_node_per_fused_sublayer(attention):
     want = {"mlp": 1, "residual_norm": 2, "affine": 0, "add": 0, "relu": 0, "layer_norm": 0}
     assert {op: two.get(op, 0) - one.get(op, 0) for op in want} == want
     assert one["residual_norm"] == 2 and "layer_norm" not in one
+
+
+def _retaining_backward(loss):
+    """The traversal before backward released anything: every node keeps
+    its gradient and its grad_fn. The oracle for the leaf gradients."""
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(ad._topo_order(loss)):
+        if node._grad_fn is None or node.grad is None:
+            continue
+        for parent, g in zip(node._parents, node._grad_fn(node.grad)):
+            if g is None or not parent.requires_grad:
+                continue
+            parent.grad = g if parent.grad is None else parent.grad + g
+
+
+def _default_train_step_loss():
+    cfg = ModelConfig(classes=2)
+    model = MemFormer(cfg)
+    batch = _batch(cfg, 4)
+    return model, ad.cross_entropy(model.forward(batch, train=True), np.array([0, 1, 1, 0]))
+
+
+def test_backward_releases_interior_nodes_and_keeps_leaf_gradients():
+    oracle_model, oracle_loss = _default_train_step_loss()
+    _retaining_backward(oracle_loss)
+    assert all(n.grad is not None for n in ad._topo_order(oracle_loss) if n._op == "mlp")
+
+    model, loss = _default_train_step_loss()
+    nodes = ad._topo_order(loss)
+    interior = [(n, n.data, n._parents) for n in nodes if n._parents]
+    leaves = [n for n in nodes if not n._parents]
+    assert interior and leaves
+    # the FFN's hidden layer: only the mlp node's grad_fn closure holds it
+    ffn = model.layers[0].ffn_w1
+    (mlp,) = [n for n, _, _ in interior if n._op == "mlp" and n._parents[1] is ffn]
+    cells = dict(zip(mlp._grad_fn.__code__.co_freevars, mlp._grad_fn.__closure__))
+    hidden = weakref.ref(cells.pop("h").cell_contents)
+    del cells, mlp
+    assert hidden() is not None
+
+    loss.backward()
+    assert hidden() is None
+    for node, data, parents in interior:
+        assert node.grad is None and node._grad_fn is None, node._op
+        assert node.data is data and node._parents is parents, node._op
+    want = oracle_model.parameters()
+    got = model.parameters()
+    assert want.keys() == got.keys()
+    assert {id(p) for p in got.values()} == {id(n) for n in leaves}
+    for name, p in got.items():
+        assert p.grad.tobytes() == want[name].grad.tobytes(), name
 
 
 def test_train_forward_updates_each_layer_bank():
