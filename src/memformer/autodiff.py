@@ -48,12 +48,29 @@ the same as with recording on. Leaves are unaffected: ``parameter`` and
 around forwards whose results are only read, never backpropagated. The
 switch is a ``contextvars.ContextVar``, so a block covers only the thread
 that entered it; a worker thread enters its own.
+
+``harness.train`` runs its steps inside a step pool (``_step_pool``): spare
+float64 arrays from the last step's graph, held in a ``ContextVar`` like the
+``no_grad`` switch, so each thread has its own. After a step, ``_offer``
+replaces the pool's contents with the C-contiguous arrays the consumed
+graph's interior nodes own or view; the caller then drops the graph. In
+recording mode, the ops that make a node's output (``add``, ``matmul``,
+``affine``, the ``_mlp`` output, ``relu``, the ``_layer_norm`` output,
+``concat`` and ``attend``'s output buffer) write it through ``out=`` into a
+pooled array with the same trailing shape, or a leading slice of one, that
+nothing outside the pool references any more; otherwise they allocate, as
+they do outside the pool and under ``no_grad``. The next step thus refills
+the last step's arrays instead of freeing and faulting in a graph's worth
+of memory, and two steps' activations never coexist. The values written
+are the same either way. The pool empties when the block exits, also on an
+exception.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import sys
 
 import numpy as np
 
@@ -226,6 +243,78 @@ def no_grad():
         _recording.reset(token)
 
 
+_pool = contextvars.ContextVar("memformer_autodiff_pool", default=None)
+
+
+@contextlib.contextmanager
+def _step_pool():
+    """Install an empty step pool for the calling thread; it is emptied and
+    the previous one restored on exit, also when the block raises."""
+    pool = {}
+    token = _pool.set(pool)
+    try:
+        yield
+    finally:
+        pool.clear()
+        _pool.reset(token)
+
+
+def _offer(root):
+    """Replace the step pool's arrays with those of ``root``'s graph: each
+    interior node's ``.data``, or the array it views, if that is a writeable
+    float64 C-contiguous array that owns its memory. A no-op outside a pool.
+    """
+    pool = _pool.get()
+    if pool is None:
+        return
+    pool.clear()
+    seen = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node._parents:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        a = node.data if node.data.base is None else node.data.base
+        if (
+            isinstance(a, np.ndarray)
+            and a.base is None
+            and a.ndim
+            and a.dtype == np.float64
+            and a.flags.c_contiguous
+            and a.flags.writeable
+            and id(a) not in seen
+        ):
+            seen.add(id(a))
+            pool.setdefault(a.shape[1:], []).append(a)
+
+
+def _empty(shape):
+    """An uninitialised float64 array of ``shape`` for a node's output.
+
+    Recording inside a step pool, it is a pooled array with the same
+    trailing shape, or its leading ``shape[0]`` rows, taken out of the pool.
+    An array is taken only if the pool holds the last reference to it:
+    ``sys.getrefcount(bucket[i])`` counts the list's reference and the
+    argument's, and no borrowed local that an interpreter may leave
+    uncounted. Else, and when nothing fits, a fresh array.
+    """
+    pool = _pool.get()
+    if pool and shape and _recording.get():
+        bucket = pool.get(shape[1:])
+        if bucket:
+            for i in range(len(bucket)):
+                if bucket[i].shape[0] >= shape[0] and sys.getrefcount(bucket[i]) == 2:
+                    return bucket.pop(i)[: shape[0]]
+    return np.empty(shape)
+
+
+def _matmul_shape(a, b):
+    """The shape of ``a @ b`` for array shapes ``a`` and ``b`` of rank >= 2."""
+    return np.broadcast_shapes(a[:-2], b[:-2]) + (a[-2], b[-1])
+
+
 def _node(data, parents, grad_fn, op):
     if not _recording.get():
         return Tensor(data, False, (), None, op)
@@ -242,7 +331,8 @@ def add(a, b):
     def grad_fn(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
-    return _node(a.data + b.data, (a, b), grad_fn, "add")
+    out = np.add(a.data, b.data, out=_empty(np.broadcast_shapes(a.shape, b.shape)))
+    return _node(out, (a, b), grad_fn, "add")
 
 
 def sub(a, b):
@@ -279,7 +369,8 @@ def matmul(a, b):
     """Batched matrix product; leading axes broadcast like ``np.matmul``."""
     a, b = _as_tensor(a), _as_tensor(b)
     _check_matmul(a, b)
-    return _node(a.data @ b.data, (a, b), lambda g: _matmul_grads(g, a, b), "matmul")
+    out = np.matmul(a.data, b.data, out=_empty(_matmul_shape(a.shape, b.shape)))
+    return _node(out, (a, b), lambda g: _matmul_grads(g, a, b), "matmul")
 
 
 def affine(x, weight, bias):
@@ -287,7 +378,7 @@ def affine(x, weight, bias):
     product's buffer."""
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     _check_matmul(x, weight)
-    out = x.data @ weight.data
+    out = np.matmul(x.data, weight.data, out=_empty(_matmul_shape(x.shape, weight.shape)))
     out += bias.data
 
     def grad_fn(g):
@@ -310,7 +401,7 @@ def _mlp(x, w1, b1, w2, b2):
     h = x.data @ w1.data
     h += b1.data
     np.maximum(h, 0.0, out=h)
-    out = h @ w2.data
+    out = np.matmul(h, w2.data, out=_empty(_matmul_shape(h.shape, w2.shape)))
     out += b2.data
 
     def grad_fn(g):
@@ -331,7 +422,7 @@ def _mlp(x, w1, b1, w2, b2):
 
 def relu(x):
     x = _as_tensor(x)
-    out = np.maximum(x.data, 0.0)
+    out = np.maximum(x.data, 0.0, out=_empty(x.shape))
 
     def grad_fn(g):
         # subgradient at exactly 0 is defined as 0
@@ -438,7 +529,7 @@ def _layer_norm(x, parents, gain, bias, op, owned):
         raise ValueError(f"gain/bias must have shape ({n},), got {gain.shape} and {bias.shape}")
     mu = x.mean(axis=-1, keepdims=True)
     xhat = np.subtract(x, mu, out=x if owned else None)
-    out = xhat * xhat
+    out = np.multiply(xhat, xhat, out=_empty(xhat.shape))
     inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv
     np.multiply(xhat, gain.data, out=out)
@@ -552,7 +643,10 @@ def concat(tensors, axis):
     def grad_fn(g):
         return tuple(np.split(g, offsets, axis=axis))
 
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), grad_fn, "concat")
+    shape = list(tensors[0].shape)
+    shape[axis] = sum(sizes)
+    out = np.concatenate([t.data for t in tensors], axis=axis, out=_empty(tuple(shape)))
+    return _node(out, tuple(tensors), grad_fn, "concat")
 
 
 def narrow(x, axis, start, length):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import threading
 import tracemalloc
 from dataclasses import asdict
 
@@ -10,6 +11,7 @@ import pytest
 
 from memformer import autodiff as ad
 from memformer import harness
+from memformer import model as model_module
 from memformer.data import SplitManifest, stratified_split, synth_scene
 from memformer.harness import (
     DEFAULT_MEMORY_SIZES,
@@ -202,8 +204,10 @@ def test_every_pass_over_a_split_cuts_one_batch_of_windows_at_a_time(scene, monk
 def test_train_epoch_numpy_peak_stays_below_the_retained_graph_peak():
     # one epoch at B=16 on the benchmark's scene, split and model; traced
     # peaks: 65.2 MB while every node kept its gradient and saved arrays
-    # until the next step's forward replaced the graph, 42.9 MB now that
-    # backward releases them; the limit is the midpoint
+    # until the next step's forward replaced the graph, 42.9 MB once
+    # backward released them, 34.1 MB now that the next step refills the
+    # last step's arrays instead of allocating beside them; each limit is a
+    # midpoint
     cube, labels = synth_scene(32, 32, 16, 3, noise_sigma=0.05, blob_count=2, seed=0)
     manifest = stratified_split(labels, (0.20, 0.05, 0.50), seed=1)
     model = MemFormer(ModelConfig(classes=3, dropout=0.0, seed=1))
@@ -214,6 +218,192 @@ def test_train_epoch_numpy_peak_stays_below_the_retained_graph_peak():
     finally:
         tracemalloc.stop()
     assert peak < (65.2e6 + 42.9e6) / 2
+    assert peak < (42.9e6 + 34.1e6) / 2
+
+
+def _pooled_ids():
+    """Ids of the arrays in the calling thread's step pool, by trailing shape."""
+    return {key: [id(a) for a in bucket] for key, bucket in ad._pool.get().items()}
+
+
+def test_train_never_overwrites_an_array_held_outside_the_pool(scene, monkeypatch):
+    # the test holds bare arrays, not tensors: a held logits tensor would
+    # keep its whole graph, and with it every array, out of the pool
+    cube, _, manifest = scene
+    model = MemFormer(tiny_model_config(dropout=0.2))
+    held = []
+    offered = []
+    took_pooled = []
+    forward = model.forward
+
+    def keep_logits(batch, train=False):
+        out = forward(batch, train=train)
+        if train:
+            held.append((out.data, out.data.copy()))
+        return out
+
+    offer = ad._offer
+
+    def note_offer(root):
+        offer(root)
+        offered[:] = [a.ctypes.data for bucket in ad._pool.get().values() for a in bucket]
+
+    ffn = model_module._EncoderLayer.ffn
+
+    def keep_one_ffn_output(layer, x):
+        out = ffn(layer, x)
+        if ad._pool.get() is not None and ad._recording.get():
+            took_pooled.append(out.data.ctypes.data in offered)
+            if len(took_pooled) == 3:
+                held.append((out.data, out.data.copy()))
+        return out
+
+    model.forward = keep_logits
+    monkeypatch.setattr(ad, "_offer", note_offer)
+    monkeypatch.setattr(model_module._EncoderLayer, "ffn", keep_one_ffn_output)
+    # 8 full batches of 7 and a ragged one per epoch
+    assert len(manifest.train) % 7
+    train(model, cube, manifest, TrainConfig(epochs=2, batch_size=7, seed=0))
+    steps = 2 * -(-len(manifest.train) // 7)
+    assert len(held) == steps + 1
+    # a live array never received a later step's values...
+    for array, copy in held:
+        np.testing.assert_array_equal(array, copy)
+    # ...while the FFN outputs did refill the last step's arrays
+    assert len(took_pooled) == steps and sum(took_pooled) > steps // 2
+
+
+def test_the_step_pool_is_scoped_to_train(scene, monkeypatch):
+    cube, _, manifest = scene
+    pools = []
+    cross_entropy = ad.cross_entropy
+
+    def note_pool(logits, labels):
+        pools.append(ad._pool.get())
+        return cross_entropy(logits, labels)
+
+    monkeypatch.setattr(ad, "cross_entropy", note_pool)
+    model = MemFormer(tiny_model_config())
+    assert ad._pool.get() is None
+    train(model, cube, manifest, quick_train_config())
+    assert pools and all(p is pools[0] for p in pools)
+    assert ad._pool.get() is None and pools[0] == {}
+
+    # a step that raises empties the pool on the way out
+    def nan_on_third_step(logits, labels):
+        loss = note_pool(logits, labels)
+        if len(pools) == 3:
+            loss.data = np.array(np.nan)
+        return loss
+
+    def note_pool_size(logits, labels):
+        sizes.append(len(ad._pool.get()))
+        return nan_on_third_step(logits, labels)
+
+    pools.clear()
+    sizes = []
+    monkeypatch.setattr(ad, "cross_entropy", note_pool_size)
+    with pytest.raises(ValueError, match="non-finite training loss"):
+        train(MemFormer(tiny_model_config()), cube, manifest, quick_train_config())
+    # steps 2 and 3 ran with the last step's arrays on offer
+    assert sizes[0] == 0 and sizes[1] > 0 and sizes[2] > 0
+    assert len(pools) == 3 and pools[0] == {}
+    assert ad._pool.get() is None
+
+
+def test_read_only_forwards_neither_take_from_nor_add_to_the_step_pool(scene):
+    cube, _, manifest = scene
+    model = MemFormer(tiny_model_config(dropout=0.2))
+    windows, labels = extract_samples(cube, manifest.train[:7], model.config.window)
+    with ad._step_pool():
+        loss = ad.cross_entropy(model.forward(windows, train=True), labels)
+        loss.backward()
+        ad._offer(loss)
+        del loss
+        pooled = _pooled_ids()
+        assert sum(map(len, pooled.values())) > 10
+        evaluate(model, cube, manifest.test, batch_size=7)
+        model.predict(windows)
+        model.predict_proba(windows)
+        assert _pooled_ids() == pooled
+        # a recording forward does take from it
+        model.forward(windows, train=True)
+        assert sum(map(len, _pooled_ids().values())) < sum(map(len, pooled.values()))
+    assert ad._pool.get() is None
+
+
+def test_two_threads_training_at_once_reproduce_their_single_thread_runs(scene, monkeypatch):
+    cube, _, manifest = scene
+    configs = [tiny_model_config(seed=1, dropout=0.2), tiny_model_config(seed=2, attention="standard")]
+
+    def run(cfg):
+        model = MemFormer(cfg)
+        result = train(model, cube, manifest, TrainConfig(epochs=2, batch_size=7, seed=cfg.seed))
+        params = {name: p.data.copy() for name, p in model.parameters().items()}
+        return [asdict(e) for e in result.history], params
+
+    def assert_same(a, b):
+        assert a[0] == b[0]
+        for name in a[1]:
+            np.testing.assert_array_equal(a[1][name], b[1][name])
+
+    reference = [run(cfg) for cfg in configs]
+    pools = [set(), set()]
+    both_inside = threading.Barrier(2, timeout=30)
+    cross_entropy = ad.cross_entropy
+
+    def note_pool(logits, labels):
+        me = int(threading.current_thread().name)
+        if not pools[me]:
+            both_inside.wait()
+        pools[me].add(id(ad._pool.get()))
+        return cross_entropy(logits, labels)
+
+    monkeypatch.setattr(ad, "cross_entropy", note_pool)
+    results = [None, None]
+
+    def worker(i):
+        results[i] = run(configs[i])
+
+    threads = [threading.Thread(target=worker, args=(i,), name=str(i)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for got, want in zip(results, reference):
+        assert_same(got, want)
+    # each thread ran inside one pool of its own, both alive at once
+    assert len(pools[0]) == len(pools[1]) == 1 and pools[0] != pools[1]
+
+
+@pytest.mark.parametrize("attention", ["memory", "standard"])
+@pytest.mark.parametrize("pe_mode", ["none", "learnable", "sinusoidal1d", "sspe"])
+def test_the_step_pool_changes_no_number(scene, monkeypatch, attention, pe_mode):
+    cube, _, manifest = scene
+
+    def run():
+        traces = []
+        for batch_size in (7, 16):
+            model = MemFormer(tiny_model_config(attention=attention, pe_mode=pe_mode, dropout=0.2, layers=2))
+            rng = np.random.default_rng(4)
+            for name, bank in model.buffers().items():
+                model.set_buffer(name, 0.5 * rng.standard_normal(bank.shape))
+            result = train(model, cube, manifest, TrainConfig(epochs=2, batch_size=batch_size, seed=0))
+            report = evaluate(model, cube, manifest.test, batch_size=batch_size)
+            state = {name: p.data.copy() for name, p in model.parameters().items()}
+            state.update(model.buffers())
+            traces.append(([asdict(e) for e in result.history], state, report.confusion))
+        return traces
+
+    pooled = run()
+    # the reference offers nothing, so every node allocates its output
+    monkeypatch.setattr(ad, "_offer", lambda root: None)
+    for (history, state, confusion), (ref_history, ref_state, ref_confusion) in zip(pooled, run()):
+        assert history == ref_history
+        assert state.keys() == ref_state.keys()
+        for name in state:
+            np.testing.assert_array_equal(state[name], ref_state[name])
+        np.testing.assert_array_equal(confusion, ref_confusion)
 
 
 def test_evaluate_rejects_empty_split(scene):
