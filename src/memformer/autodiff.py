@@ -49,21 +49,21 @@ around forwards whose results are only read, never backpropagated. The
 switch is a ``contextvars.ContextVar``, so a block covers only the thread
 that entered it; a worker thread enters its own.
 
-``harness.train`` runs its steps inside a step pool (``_step_pool``): spare
-float64 arrays from the last step's graph, held in a ``ContextVar`` like the
-``no_grad`` switch, so each thread has its own. After a step, ``_offer``
-replaces the pool's contents with the C-contiguous arrays the consumed
-graph's interior nodes own or view; the caller then drops the graph. In
+``harness.train`` runs its steps inside a step pool (``_step_pool``): the
+float64 arrays that nodes' outputs were written into, held in a
+``ContextVar`` like the ``no_grad`` switch, so each thread has its own. In
 recording mode, the ops that make a node's output (``add``, ``matmul``,
 ``affine``, the ``_mlp`` output, ``relu``, the ``_layer_norm`` output,
-``concat`` and ``attend``'s output buffer) write it through ``out=`` into a
-pooled array with the same trailing shape, or a leading slice of one, that
-nothing outside the pool references any more; otherwise they allocate, as
-they do outside the pool and under ``no_grad``. The next step thus refills
-the last step's arrays instead of freeing and faulting in a graph's worth
-of memory, and two steps' activations never coexist. The values written
-are the same either way. The pool empties when the block exits, also on an
-exception.
+``dropout``, ``concat`` and ``attend``'s output buffer) ask ``_empty`` for
+the array they write through ``out=``. It hands out a pooled array with the
+same trailing shape, or its leading rows, that nothing outside the pool
+references; if none is free it allocates one, which stays pooled from then
+until the block exits. Outside a pool and under ``no_grad`` it allocates
+and the pool never sees the array. Once ``train`` drops a step's graph, the
+next step's forward refills that step's arrays instead of freeing and
+faulting in a graph's worth of memory, and two steps' activations never
+coexist. The values written are the same either way. The pool empties when
+the block exits, also on an exception.
 """
 
 from __future__ import annotations
@@ -259,55 +259,26 @@ def _step_pool():
         _pool.reset(token)
 
 
-def _offer(root):
-    """Replace the step pool's arrays with those of ``root``'s graph: each
-    interior node's ``.data``, or the array it views, if that is a writeable
-    float64 C-contiguous array that owns its memory. A no-op outside a pool.
-    """
-    pool = _pool.get()
-    if pool is None:
-        return
-    pool.clear()
-    seen = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen or not node._parents:
-            continue
-        seen.add(id(node))
-        stack.extend(node._parents)
-        a = node.data if node.data.base is None else node.data.base
-        if (
-            isinstance(a, np.ndarray)
-            and a.base is None
-            and a.ndim
-            and a.dtype == np.float64
-            and a.flags.c_contiguous
-            and a.flags.writeable
-            and id(a) not in seen
-        ):
-            seen.add(id(a))
-            pool.setdefault(a.shape[1:], []).append(a)
-
-
 def _empty(shape):
     """An uninitialised float64 array of ``shape`` for a node's output.
 
     Recording inside a step pool, it is a pooled array with the same
-    trailing shape, or its leading ``shape[0]`` rows, taken out of the pool.
-    An array is taken only if the pool holds the last reference to it:
-    ``sys.getrefcount(bucket[i])`` counts the list's reference and the
-    argument's, and no borrowed local that an interpreter may leave
-    uncounted. Else, and when nothing fits, a fresh array.
+    trailing shape, or its leading ``shape[0]`` rows, that nothing outside
+    the pool references: ``sys.getrefcount(bucket[i])`` counts the list's
+    reference and the argument's, and no borrowed local that an interpreter
+    may leave uncounted. If none is free, a fresh array that stays in the
+    pool until the block exits. Outside a pool and under ``no_grad``, a
+    fresh array the pool never sees.
     """
     pool = _pool.get()
-    if pool and shape and _recording.get():
-        bucket = pool.get(shape[1:])
-        if bucket:
-            for i in range(len(bucket)):
-                if bucket[i].shape[0] >= shape[0] and sys.getrefcount(bucket[i]) == 2:
-                    return bucket.pop(i)[: shape[0]]
-    return np.empty(shape)
+    if pool is None or not shape or not _recording.get():
+        return np.empty(shape)
+    bucket = pool.setdefault(shape[1:], [])
+    for i in range(len(bucket)):
+        if bucket[i].shape[0] >= shape[0] and sys.getrefcount(bucket[i]) == 2:
+            return bucket[i][: shape[0]]
+    bucket.append(np.empty(shape))
+    return bucket[-1]
 
 
 def _matmul_shape(a, b):
@@ -570,7 +541,7 @@ def dropout(x, rate, rng, train):
     def grad_fn(g):
         return (g * mask,)
 
-    return _node(x.data * mask, (x,), grad_fn, "dropout")
+    return _node(np.multiply(x.data, mask, out=_empty(x.shape)), (x,), grad_fn, "dropout")
 
 
 def _nll(x, labels):

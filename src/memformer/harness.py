@@ -8,10 +8,10 @@ train-mode forwards, in batch order, so a (seed, config, data) triple fixes
 the loss trace bitwise. Every pass over a split, train steps and evaluation
 alike, cuts its windows one batch at a time, so no split's windows are held
 at once. ``train`` runs its steps inside an ``autodiff`` step pool, private
-to the calling thread: after each step it offers the pool the consumed
-graph's arrays and drops the graph, and the next step's forward writes its
-activations into them, so two steps' graphs are never alive at once. The
-pool empties when ``train`` returns or raises; evaluation never touches it.
+to the calling thread. The arrays a step's forward writes its activations
+into stay pooled until ``train`` returns or raises. After each step
+``train`` drops the graph, and the next step's forward refills those arrays,
+so two steps' graphs are never alive at once. Evaluation never touches it.
 
 The ablation drivers retrain fresh models that differ in exactly one config
 field and emit one row per variant: metrics, census, the split-manifest
@@ -32,7 +32,7 @@ from . import autodiff as ad
 from .data import extract_window, manifest_sha256
 from .embedding import PE_MODES
 from .metrics import EvalReport, confusion_matrix
-from .model import ATTENTION_MODES, MemFormer, ModelConfig
+from .model import ATTENTION_MODES, MemFormer, ModelConfig, _require_int
 from .optim import Adam
 
 __all__ = [
@@ -67,18 +67,15 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        _require_int("epochs", self.epochs, 1)
+        _require_int("batch_size", self.batch_size, 1)
         # each test is written so that NaN fails it
         for name in ("lr", "weight_decay"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not 0 < self.eps < np.inf:
             raise ValueError(f"eps must be finite and > 0, got {self.eps}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _require_int("seed", self.seed, 0)
 
 
 @dataclass
@@ -177,7 +174,6 @@ def train(model, cube, manifest, cfg):
                 sample_losses[idx] = ad._nll(logits.data, labels)[0]
                 # drop the graph before the next forward, which refills its
                 # arrays instead of allocating beside them
-                ad._offer(loss)
                 del logits, loss
             train_loss = float(sample_losses.mean())
             _, train_acc = _eval_loss_acc(model, cube, manifest.train, cfg.batch_size)
@@ -217,8 +213,7 @@ def evaluate(model, cube, part, batch_size=64):
     depend on ``batch_size``; its logits may differ in the last bit, because
     BLAS picks the classifier product's kernel by the batch's row count.
     """
-    if isinstance(batch_size, bool) or not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
-        raise ValueError(f"batch_size must be an int >= 1, got {batch_size!r}")
+    _require_int("batch_size", batch_size, 1)
     if len(part) == 0:
         raise ValueError("evaluation split is empty")
     started = time.perf_counter()

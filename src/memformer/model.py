@@ -49,6 +49,13 @@ class CheckpointError(ValueError):
     """A checkpoint file is malformed or contradicts the expected config."""
 
 
+def _require_int(name, value, minimum):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer,
+    Python or numpy but not a bool, of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
 @dataclass
 class ModelConfig:
     window: int = 14
@@ -67,12 +74,9 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("window", "patch", "bands", "embed", "heads", "ffn", "memory", "classes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.layers < 0:
-            raise ValueError(f"layers must be >= 0, got {self.layers}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            _require_int(name, getattr(self, name), 1)
+        _require_int("layers", self.layers, 0)
+        _require_int("seed", self.seed, 0)
         if self.embed % self.heads != 0:
             raise ValueError(f"heads ({self.heads}) must divide embed ({self.embed})")
         if self.window % self.patch != 0:

@@ -757,3 +757,85 @@ def test_no_grad_is_per_thread():
         "late after": True,
     }
     assert ad.mul(x, x).requires_grad
+
+
+def _pool_addresses():
+    """Data addresses of the arrays in the calling thread's step pool, by trailing shape."""
+    return {key: [a.ctypes.data for a in bucket] for key, bucket in ad._pool.get().items()}
+
+
+@pytest.mark.parametrize(
+    "hold",
+    [lambda a: a, lambda a: [a], lambda a: a[1:], ad.constant],
+    ids=["local", "list", "view", "tensor"],
+)
+def test_step_pool_never_hands_out_a_referenced_array(hold):
+    with ad._step_pool():
+        held = hold(ad._empty((4, 3)))
+        (address,) = _pool_addresses()[(3,)]
+        other = ad._empty((4, 3))
+        assert other.ctypes.data != address
+        assert len(_pool_addresses()[(3,)]) == 2
+        # once the holder lets go, the array is handed out again
+        del held
+        assert ad._empty((4, 3)).ctypes.data == address
+    assert ad._pool.get() is None
+
+
+def test_step_pool_hands_out_a_free_array_and_a_ragged_request_its_leading_rows():
+    with ad._step_pool():
+        a = ad._empty((4, 3))
+        address = a.ctypes.data
+        del a
+        again = ad._empty((4, 3))
+        assert again.shape == (4, 3) and again.ctypes.data == address
+        del again
+        rows = ad._empty((2, 3))
+        assert rows.shape == (2, 3) and rows.flags.c_contiguous and rows.ctypes.data == address
+        # the leading rows hold the whole array, so a full request gets another
+        full = ad._empty((4, 3))
+        assert full.ctypes.data != address
+        # as does a request taller, or of another trailing shape, than any pooled array
+        tall = ad._empty((5, 3))
+        wide = ad._empty((4, 2))
+        assert _pool_addresses() == {
+            (3,): [address, full.ctypes.data, tall.ctypes.data],
+            (2,): [wide.ctypes.data],
+        }
+
+
+def test_empty_outside_a_pool_or_under_no_grad_leaves_the_pool_alone():
+    assert ad._empty((4, 3)).shape == (4, 3)
+    assert ad._pool.get() is None
+    with ad._step_pool():
+        a = ad._empty((4, 3))
+        address = a.ctypes.data
+        del a
+        pooled = _pool_addresses()
+        with ad.no_grad():
+            fresh = ad._empty((4, 3))
+            out = ad.relu(ad.constant(np.ones((4, 3))))
+        assert fresh.shape == (4, 3) and fresh.ctypes.data != address
+        assert out.data.ctypes.data != address
+        # a 0-d result is never pooled
+        assert ad._empty(()).shape == ()
+        assert _pool_addresses() == pooled
+
+
+def test_recording_ops_write_their_outputs_into_pooled_arrays():
+    rng = np.random.default_rng(0)
+    x, w, b = _param(rng, 3, 4), _param(rng, 4, 4), _param(rng, 4)
+    ops = {
+        "add": lambda: ad.add(x, x),
+        "matmul": lambda: ad.matmul(x, w),
+        "affine": lambda: ad.affine(x, w, b),
+        "mlp": lambda: ad._mlp(x, w, b, w, b),
+        "relu": lambda: ad.relu(x),
+        "layer_norm": lambda: ad.layer_norm(x, b, b),
+        "dropout": lambda: ad.dropout(x, 0.5, rng, train=True),
+        "concat": lambda: ad.concat([x, x], axis=0),
+    }
+    for op, make in ops.items():
+        with ad._step_pool():
+            out = make()
+            assert [out.data.ctypes.data] == [a for bucket in _pool_addresses().values() for a in bucket], op

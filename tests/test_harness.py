@@ -1,5 +1,6 @@
 """Training loop, evaluation, ablation drivers, config files, reports."""
 
+import contextlib
 import csv
 import math
 import threading
@@ -59,6 +60,7 @@ def scene():
 
 def test_train_config_validation():
     TrainConfig(epochs=1, batch_size=1, lr=0.0)  # lr = 0 is a legal no-op run
+    TrainConfig(epochs=np.int64(1), batch_size=np.int32(16), seed=np.uint8(3))
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
@@ -81,6 +83,12 @@ def test_train_config_validation():
         ("eps", math.nan),
         ("eps", math.inf),
         ("seed", -1),
+        ("batch_size", 2.5),
+        ("batch_size", math.nan),
+        ("batch_size", True),
+        ("batch_size", "16"),
+        ("epochs", 1.5),
+        ("seed", 0.0),
     ],
 )
 def test_train_config_rejects_values_that_destroy_training(field, value):
@@ -201,29 +209,46 @@ def test_every_pass_over_a_split_cuts_one_batch_of_windows_at_a_time(scene, monk
     assert sum(cut) == 2 * (2 * len(manifest.train) + len(manifest.val)) + len(manifest.test)
 
 
-def test_train_epoch_numpy_peak_stays_below_the_retained_graph_peak():
-    # one epoch at B=16 on the benchmark's scene, split and model; traced
-    # peaks: 65.2 MB while every node kept its gradient and saved arrays
-    # until the next step's forward replaced the graph, 42.9 MB once
-    # backward released them, 34.1 MB now that the next step refills the
-    # last step's arrays instead of allocating beside them; each limit is a
-    # midpoint
+def _traced_epoch_peak(dropout):
+    """tracemalloc peak of one epoch at B=16 on the benchmark's scene, split and model."""
     cube, labels = synth_scene(32, 32, 16, 3, noise_sigma=0.05, blob_count=2, seed=0)
     manifest = stratified_split(labels, (0.20, 0.05, 0.50), seed=1)
-    model = MemFormer(ModelConfig(classes=3, dropout=0.0, seed=1))
+    model = MemFormer(ModelConfig(classes=3, dropout=dropout, seed=1))
     tracemalloc.start()
     try:
         train(model, cube, manifest, TrainConfig(epochs=1, batch_size=16, seed=0))
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_train_epoch_numpy_peak_stays_below_the_retained_graph_peak():
+    # traced peaks without dropout: 65.2 MB while every node kept its
+    # gradient and saved arrays until the next step's forward replaced the
+    # graph, 42.9 MB once backward released them, 34.1 MB once the next step
+    # refilled the last step's arrays instead of allocating beside them;
+    # each limit is a midpoint
+    peak = _traced_epoch_peak(0.0)
     assert peak < (65.2e6 + 42.9e6) / 2
     assert peak < (42.9e6 + 34.1e6) / 2
+    # with dropout: 43.9 MB while each step offered the pool its whole
+    # consumed graph, 40.2 MB now that the pool holds only what it handed out
+    assert _traced_epoch_peak(0.1) < (43.9e6 + 40.2e6) / 2
 
 
 def _pooled_ids():
     """Ids of the arrays in the calling thread's step pool, by trailing shape."""
     return {key: [id(a) for a in bucket] for key, bucket in ad._pool.get().items()}
+
+
+def _fill_pool(value):
+    for bucket in ad._pool.get().values():
+        for a in bucket:
+            a.fill(value)
+
+
+def _pooled_arrays_holding(value):
+    return sum(bool((a == value).all()) for bucket in ad._pool.get().values() for a in bucket)
 
 
 def test_train_never_overwrites_an_array_held_outside_the_pool(scene, monkeypatch):
@@ -242,24 +267,20 @@ def test_train_never_overwrites_an_array_held_outside_the_pool(scene, monkeypatc
             held.append((out.data, out.data.copy()))
         return out
 
-    offer = ad._offer
-
-    def note_offer(root):
-        offer(root)
-        offered[:] = [a.ctypes.data for bucket in ad._pool.get().values() for a in bucket]
-
     ffn = model_module._EncoderLayer.ffn
 
     def keep_one_ffn_output(layer, x):
+        pooled = ad._pool.get()
+        if pooled is not None and ad._recording.get():
+            offered[:] = [a.ctypes.data for bucket in pooled.values() for a in bucket]
         out = ffn(layer, x)
-        if ad._pool.get() is not None and ad._recording.get():
+        if pooled is not None and ad._recording.get():
             took_pooled.append(out.data.ctypes.data in offered)
             if len(took_pooled) == 3:
                 held.append((out.data, out.data.copy()))
         return out
 
     model.forward = keep_logits
-    monkeypatch.setattr(ad, "_offer", note_offer)
     monkeypatch.setattr(model_module._EncoderLayer, "ffn", keep_one_ffn_output)
     # 8 full batches of 7 and a ragged one per epoch
     assert len(manifest.train) % 7
@@ -269,7 +290,7 @@ def test_train_never_overwrites_an_array_held_outside_the_pool(scene, monkeypatc
     # a live array never received a later step's values...
     for array, copy in held:
         np.testing.assert_array_equal(array, copy)
-    # ...while the FFN outputs did refill the last step's arrays
+    # ...while the FFN outputs did refill arrays an earlier step had used
     assert len(took_pooled) == steps and sum(took_pooled) > steps // 2
 
 
@@ -305,8 +326,9 @@ def test_the_step_pool_is_scoped_to_train(scene, monkeypatch):
     monkeypatch.setattr(ad, "cross_entropy", note_pool_size)
     with pytest.raises(ValueError, match="non-finite training loss"):
         train(MemFormer(tiny_model_config()), cube, manifest, quick_train_config())
-    # steps 2 and 3 ran with the last step's arrays on offer
-    assert sizes[0] == 0 and sizes[1] > 0 and sizes[2] > 0
+    # the first step's forward filled the pool, and steps 2 and 3 found
+    # their shapes there
+    assert sizes[0] > 0 and sizes[1] == sizes[2] == sizes[0]
     assert len(pools) == 3 and pools[0] == {}
     assert ad._pool.get() is None
 
@@ -318,18 +340,55 @@ def test_read_only_forwards_neither_take_from_nor_add_to_the_step_pool(scene):
     with ad._step_pool():
         loss = ad.cross_entropy(model.forward(windows, train=True), labels)
         loss.backward()
-        ad._offer(loss)
         del loss
         pooled = _pooled_ids()
-        assert sum(map(len, pooled.values())) > 10
+        count = sum(map(len, pooled.values()))
+        assert count > 10
+        # a pooled array that a forward takes is overwritten, so a marker
+        # value left in every pooled array shows each take
+        _fill_pool(7.0)
         evaluate(model, cube, manifest.test, batch_size=7)
         model.predict(windows)
         model.predict_proba(windows)
         assert _pooled_ids() == pooled
-        # a recording forward does take from it
-        model.forward(windows, train=True)
-        assert sum(map(len, _pooled_ids().values())) < sum(map(len, pooled.values()))
+        assert _pooled_arrays_holding(7.0) == count
+        # a recording forward does take from it, and needs nothing new
+        logits = model.forward(windows, train=True)
+        assert _pooled_ids() == pooled
+        assert _pooled_arrays_holding(7.0) < count
+        del logits
     assert ad._pool.get() is None
+
+
+def _pooled_arrays_sharing_memory_with(params):
+    arrays = [a for bucket in ad._pool.get().values() for a in bucket]
+    return len(arrays), {name for name, p in params.items() if any(np.may_share_memory(a, p.data) for a in arrays)}
+
+
+def test_train_pools_no_parameter_array_and_the_same_array_count_every_step(monkeypatch):
+    # the default model, dropout included, for 2 epochs of 4 steps; the pool
+    # holds only arrays that node outputs asked for, never a parameter's
+    cube, labels = synth_scene(16, 16, 16, 2, noise_sigma=0.05, seed=0)
+    manifest = stratified_split(labels, (0.2, 0.05, 0.5), seed=1)
+    model = MemFormer(ModelConfig())
+    params = model.parameters()
+    counts = []
+    pooled_params = set()
+    cross_entropy = ad.cross_entropy
+
+    def inspect_pool(logits, labels):
+        count, names = _pooled_arrays_sharing_memory_with(params)
+        counts.append(count)
+        pooled_params.update(names)
+        return cross_entropy(logits, labels)
+
+    monkeypatch.setattr(ad, "cross_entropy", inspect_pool)
+    train(model, cube, manifest, TrainConfig(epochs=2, batch_size=16, seed=0))
+    assert len(counts) == 2 * -(-len(manifest.train) // 16) > 2
+    assert pooled_params == set()
+    # the first step's forward fills the pool, and every later one,
+    # the ragged last step of an epoch included, finds its arrays there
+    assert counts[0] > 0 and counts == [counts[0]] * len(counts)
 
 
 def test_two_threads_training_at_once_reproduce_their_single_thread_runs(scene, monkeypatch):
@@ -396,8 +455,8 @@ def test_the_step_pool_changes_no_number(scene, monkeypatch, attention, pe_mode)
         return traces
 
     pooled = run()
-    # the reference offers nothing, so every node allocates its output
-    monkeypatch.setattr(ad, "_offer", lambda root: None)
+    # the reference installs no pool, so every node allocates its output
+    monkeypatch.setattr(ad, "_step_pool", contextlib.nullcontext)
     for (history, state, confusion), (ref_history, ref_state, ref_confusion) in zip(pooled, run()):
         assert history == ref_history
         assert state.keys() == ref_state.keys()

@@ -1,5 +1,6 @@
 """Full-model assembly: forward contract, census, checkpoints, gradients."""
 
+import math
 import re
 import struct
 import weakref
@@ -68,6 +69,17 @@ def test_config_validation():
         _tiny_config(layers=-1)
     assert _tiny_config(layers=0).layers == 0
     assert _tiny_config().tokens == 4
+    assert _tiny_config(window=np.int64(4), layers=np.int32(2)).layers == 2
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("window", 4.0), ("layers", True), ("heads", "2"), ("memory", math.nan), ("seed", 1.5), ("classes", None)],
+)
+def test_config_rejects_a_size_that_is_not_an_int(field, value):
+    # a float window used to build and train, then fail in save_checkpoint
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        _tiny_config(**{field: value})
 
 
 # -- forward ------------------------------------------------------------------
