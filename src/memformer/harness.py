@@ -32,7 +32,7 @@ from . import autodiff as ad
 from .data import extract_window, manifest_sha256
 from .embedding import PE_MODES
 from .metrics import EvalReport, confusion_matrix
-from .model import ATTENTION_MODES, MemFormer, ModelConfig, _require_int
+from .model import ATTENTION_MODES, MemFormer, ModelConfig, _require_float, _require_int
 from .optim import Adam
 
 __all__ = [
@@ -62,20 +62,13 @@ class TrainConfig:
     lr: float = 1e-3
     weight_decay: float = 1e-6
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
-        _require_int("epochs", self.epochs, 1)
-        _require_int("batch_size", self.batch_size, 1)
-        # each test is written so that NaN fails it
-        for name in ("lr", "weight_decay"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if not 0 < self.eps < np.inf:
-            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
-        _require_int("seed", self.seed, 0)
+        self.epochs = _require_int("epochs", self.epochs, 1)
+        self.batch_size = _require_int("batch_size", self.batch_size, 1)
+        self.lr = _require_float("lr", self.lr, np.inf)
+        self.weight_decay = _require_float("weight_decay", self.weight_decay, np.inf)
+        self.seed = _require_int("seed", self.seed, 0)
 
 
 @dataclass
@@ -140,14 +133,7 @@ def train(model, cube, manifest, cfg):
     for part in (manifest.train, manifest.val):
         extract_window(cube, part[:, 0], part[:, 1], 1)
 
-    opt = Adam(
-        model.parameters(),
-        lr=cfg.lr,
-        weight_decay=cfg.weight_decay,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        eps=cfg.eps,
-    )
+    opt = Adam(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     shuffle_rng = np.random.default_rng(cfg.seed)
     history = []
     best_epoch = -1
@@ -254,14 +240,15 @@ def _run_trial(cube, manifest, model_cfg, train_cfg):
 
 
 def _sweep(key, field, values, cube, manifest, model_cfg, train_cfg):
-    """One row per value of the ModelConfig ``field``, every other field held."""
+    """One row per value of the ModelConfig ``field``, every other field held.
+    Every variant's config is built, and so checked, before any trial runs."""
+    cfgs = [replace(model_cfg, **{field: value}) for value in values]
     rows = []
-    for value in values:
-        cfg = replace(model_cfg, **{field: value})
+    for cfg in cfgs:
         result, report = _run_trial(cube, manifest, cfg, train_cfg)
         rows.append(
             {
-                key: value,
+                key: getattr(cfg, field),
                 "oa": report.oa,
                 "aa": report.aa,
                 "kappa": report.kappa,
@@ -288,11 +275,9 @@ def ablate_pe(cube, manifest, model_cfg, train_cfg):
 
 def sweep_memory(cube, manifest, model_cfg, train_cfg, sizes=DEFAULT_MEMORY_SIZES):
     """One row per memory capacity, shared seed and split."""
-    sizes = [int(s) for s in sizes]
+    sizes = list(sizes)
     if not sizes:
         raise ValueError("memory size list is empty")
-    if min(sizes) < 1:
-        raise ValueError(f"memory sizes must be >= 1, got {sizes}")
     cfg = replace(model_cfg, attention="memory")
     return _sweep("memory_size", "memory", sizes, cube, manifest, cfg, train_cfg)
 
@@ -304,42 +289,45 @@ _TRAIN_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
 
 
 def parse_config_file(path):
-    """Flat ``key = value`` text -> (model overrides, train overrides).
+    """Flat UTF-8 ``key = value`` text -> (model overrides, train overrides).
 
     Keys are ModelConfig / TrainConfig field names; ``seed`` sets both.
-    Blank lines and ``#`` comments are ignored; unknown keys are rejected.
+    ``#`` starts a comment; an unknown or repeated key fails by its line.
     """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as e:
+        lineno = data.count(b"\n", 0, e.start) + 1
+        raise ValueError(f"{path}: line {lineno}: byte {e.start} is not valid UTF-8") from None
     model_kwargs = {}
     train_kwargs = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    first_line = {}  # key -> line that set it
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}: line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        known = False
+        if key not in _MODEL_FIELDS and key not in _TRAIN_FIELDS:
+            raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ValueError(f"{path}: line {lineno}: {key!r} already set on line {first_line[key]}")
+        first_line[key] = lineno
         if key in _MODEL_FIELDS:
             model_kwargs[key] = _coerce(key, value, _MODEL_FIELDS[key], path, lineno)
-            known = True
         if key in _TRAIN_FIELDS:
             train_kwargs[key] = _coerce(key, value, _TRAIN_FIELDS[key], path, lineno)
-            known = True
-        if not known:
-            raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
     return model_kwargs, train_kwargs
 
 
 def _coerce(key, value, typ, path, lineno):
-    want = typ if isinstance(typ, str) else typ.__name__
+    # field types are the annotation strings "int", "float" and "str"
     try:
-        if want == "int":
-            return int(value)
-        if want == "float":
-            return float(value)
-        return value
+        return {"int": int, "float": float, "str": str}[typ](value)
     except ValueError:
-        raise ValueError(f"{path}: line {lineno}: {key} expects {want}, got {value!r}") from None
+        raise ValueError(f"{path}: line {lineno}: {key} expects {typ}, got {value!r}") from None
 
 
 def write_report_csv(rows, path):

@@ -22,6 +22,7 @@ overwrites every tensor, so a round trip is bit identity.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -43,17 +44,32 @@ __all__ = [
 
 ATTENTION_MODES = ("memory", "standard")
 CHECKPOINT_VERSION = 1
+# the sizes an MFCK config block stores as u32, and the ceilings of its fields
+_CONFIG_INTS = ("window", "patch", "bands", "embed", "layers", "heads", "ffn", "memory", "classes")
+_U32_MAX, _I64_MAX = 2**32 - 1, 2**63 - 1
 
 
 class CheckpointError(ValueError):
     """A checkpoint file is malformed or contradicts the expected config."""
 
 
-def _require_int(name, value, minimum):
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer,
-    Python or numpy but not a bool, of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+def _require_int(name, value, minimum, maximum=math.inf):
+    """``value`` as a Python int; ``ValueError`` naming ``name`` unless it is an
+    integer, Python or numpy but not a bool, in [``minimum``, ``maximum``]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not minimum <= value <= maximum:
+        bound = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
+        raise ValueError(f"{name} must be an int {bound}, got {value!r}")
+    return int(value)
+
+
+def _require_float(name, value, below):
+    """``value`` as a Python float; ``ValueError`` naming ``name`` unless it is
+    a real number, Python or numpy but not a bool, in [0, ``below``)."""
+    # written so that NaN fails it
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < below:
+        rule = "finite and >= 0" if below == math.inf else f"in [0, {below})"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -73,20 +89,21 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("window", "patch", "bands", "embed", "heads", "ffn", "memory", "classes"):
-            _require_int(name, getattr(self, name), 1)
-        _require_int("layers", self.layers, 0)
-        _require_int("seed", self.seed, 0)
+        # fields are stored as Python ints, floats and strs that fit MFCK
+        for name in _CONFIG_INTS:
+            minimum = 0 if name == "layers" else 1
+            setattr(self, name, _require_int(name, getattr(self, name), minimum, _U32_MAX))
+        self.seed = _require_int("seed", self.seed, 0, _I64_MAX)
         if self.embed % self.heads != 0:
             raise ValueError(f"heads ({self.heads}) must divide embed ({self.embed})")
         if self.window % self.patch != 0:
             raise ValueError(f"patch ({self.patch}) must divide window ({self.window})")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        self.dropout = _require_float("dropout", self.dropout, 1)
         if self.pe_mode not in PE_MODES:
             raise ValueError(f"pe_mode must be one of {PE_MODES}, got {self.pe_mode!r}")
         if self.attention not in ATTENTION_MODES:
             raise ValueError(f"attention must be one of {ATTENTION_MODES}, got {self.attention!r}")
+        self.pe_mode, self.attention = str(self.pe_mode), str(self.attention)
 
     @property
     def tokens(self):
@@ -235,7 +252,6 @@ class MemFormer:
 # -- checkpoint serialization ----------------------------------------------------
 
 _MAGIC = b"MFCK"
-_CONFIG_INTS = ("window", "patch", "bands", "embed", "layers", "heads", "ffn", "memory", "classes")
 # the config block: the nine sizes, dropout, pe_mode and attention indices, seed
 _CONFIG_BLOCK = struct.Struct("<9IdBBq")
 

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import _require_float
+
 __all__ = ["Adam"]
+
+# Kingma & Ba's (2015) recommended moment decays and denominator offset
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
@@ -15,25 +20,15 @@ class Adam:
         m = b1*m + (1-b1)*g          v = b2*v + (1-b2)*g^2
         p -= lr * m_hat / (sqrt(v_hat) + eps) + lr * wd * p
 
-    with m_hat, v_hat the bias-corrected moments. A parameter with no grad
-    recorded steps as if its gradient were zero, so decay still applies.
+    with m_hat, v_hat the bias-corrected moments and the constants b1 = 0.9,
+    b2 = 0.999 and eps = 1e-8. A parameter with no grad recorded steps as if
+    its gradient were zero, so decay still applies.
     """
 
-    def __init__(self, params, lr=1e-3, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
-        # each test is written so that NaN fails it
-        for name, value in (("learning rate", lr), ("weight decay", weight_decay)):
-            if not 0 <= value < np.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError(f"betas must be in [0, 1), got {beta1}, {beta2}")
-        if not 0 < eps < np.inf:
-            raise ValueError(f"eps must be finite and > 0, got {eps}")
+    def __init__(self, params, lr=1e-3, weight_decay=0.0):
+        self.lr = _require_float("learning rate", lr, np.inf)
+        self.weight_decay = _require_float("weight decay", weight_decay, np.inf)
         self.params = dict(params)
-        self.lr = lr
-        self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
@@ -51,17 +46,17 @@ class Adam:
             if p.grad is not None and not np.isfinite(p.grad).all():
                 raise ValueError(f"non-finite gradient for parameter {name!r}; step rejected")
         self.t += 1
-        correction1 = 1.0 - self.beta1**self.t
-        correction2 = 1.0 - self.beta2**self.t
+        correction1 = 1.0 - _BETA1**self.t
+        correction2 = 1.0 - _BETA2**self.t
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
             m_hat = m / correction1
             v_hat = v / correction2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
             p.data -= self.lr * self.weight_decay * p.data

@@ -235,17 +235,22 @@ def test_cli_rejects_nan_lr_before_training(workdir, tmp_path, capsys, monkeypat
         raise AssertionError("training started")
 
     monkeypatch.setattr("memformer.cli.train", no_training)
-    cfg = tmp_path / "nan.cfg"
-    cfg.write_text(TINY_CFG + "lr = nan\n")
+    cfg = tmp_path / "bad.cfg"
     ckpt = tmp_path / "m.ckpt"
-    code = main(
-        ["train", *data_flags(workdir), "--config", str(cfg),
-         "--checkpoint-out", str(ckpt), "--log-out", str(tmp_path / "l.csv")]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: lr must be finite")
-    assert not ckpt.exists()
+    # a seed past the checkpoint's i64 field used to fail only in save_checkpoint
+    for old, new, message in (
+        ("lr = 0.01", "lr = nan", "error: lr must be finite"),
+        ("seed = 0", "seed = 18446744073709551616", "error: seed must be "),
+    ):
+        cfg.write_text(TINY_CFG.replace(old, new))
+        code = main(
+            ["train", *data_flags(workdir), "--config", str(cfg),
+             "--checkpoint-out", str(ckpt), "--log-out", str(tmp_path / "l.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert not ckpt.exists()
 
 
 def test_cli_rejects_band_mismatch(workdir, tmp_path, capsys):

@@ -3,9 +3,11 @@
 import contextlib
 import csv
 import math
+import re
 import threading
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,10 +80,10 @@ def test_train_config_validation():
         ("lr", math.inf),
         ("weight_decay", math.nan),
         ("weight_decay", math.inf),
-        ("eps", 0.0),
-        ("eps", -1.0),
-        ("eps", math.nan),
-        ("eps", math.inf),
+        ("lr", True),
+        ("weight_decay", False),
+        ("lr", "0.1"),
+        ("weight_decay", None),
         ("seed", -1),
         ("batch_size", 2.5),
         ("batch_size", math.nan),
@@ -94,6 +96,24 @@ def test_train_config_validation():
 def test_train_config_rejects_values_that_destroy_training(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "model_overrides, train_overrides",
+    [
+        ({"window": np.int64(14)}, {}),
+        ({"dropout": np.float64(0.1)}, {}),
+        ({"pe_mode": np.str_("sspe")}, {}),
+        ({}, {"lr": np.float64(1e-3)}),
+    ],
+)
+def test_numpy_spelled_configs_fingerprint_as_python_ones(model_overrides, train_overrides):
+    model_cfg = ModelConfig(**model_overrides)
+    train_cfg = TrainConfig(**train_overrides)
+    assert config_fingerprint(model_cfg, train_cfg) == config_fingerprint(ModelConfig(), TrainConfig())
+    for cfg, overrides in ((model_cfg, model_overrides), (train_cfg, train_overrides)):
+        for name in overrides:
+            assert type(getattr(cfg, name)) in (int, float, str)
 
 
 def test_extract_samples_shapes_and_labels(scene):
@@ -605,14 +625,25 @@ def test_ablate_pe_four_rows_and_census_delta(scene):
 
 def test_sweep_memory_rows_and_validation(scene):
     cube, _, manifest = scene
-    rows = sweep_memory(cube, manifest, tiny_model_config(), quick_train_config(), sizes=(1, 3))
-    assert [row["memory_size"] for row in rows] == [1, 3]
+    rows = sweep_memory(cube, manifest, tiny_model_config(), quick_train_config(), sizes=(1, np.int64(3)))
+    # a row reports the size as its config stores it, a Python int
+    assert [(row["memory_size"], type(row["memory_size"])) for row in rows] == [(1, int), (3, int)]
     assert rows[1]["non_trainable_params"] > rows[0]["non_trainable_params"]
     assert len({row["fingerprint"] for row in rows}) == 1
     with pytest.raises(ValueError):
         sweep_memory(cube, manifest, tiny_model_config(), quick_train_config(), sizes=())
     with pytest.raises(ValueError):
         sweep_memory(cube, manifest, tiny_model_config(), quick_train_config(), sizes=(0, 5))
+
+
+@pytest.mark.parametrize("sizes", [[2.7], [5, 0]])
+def test_sweep_memory_checks_every_size_before_the_first_trial(scene, monkeypatch, sizes):
+    cube, _, manifest = scene
+    trials = []
+    monkeypatch.setattr(harness, "_run_trial", lambda *args: trials.append(args))
+    with pytest.raises(ValueError, match="^memory must be"):
+        sweep_memory(cube, manifest, tiny_model_config(), quick_train_config(), sizes=sizes)
+    assert trials == []
 
 
 def test_default_memory_sizes():
@@ -653,9 +684,6 @@ def test_parse_config_file_round_trip(tmp_path):
         "lr = 0.01\n"
         "weight_decay = 0.0\n"
         "seed = 7  # shared by init and shuffle\n"
-        "beta1 = 0.9\n"
-        "beta2 = 0.999\n"
-        "eps = 1e-8\n"
     )
     model_kwargs, train_kwargs = parse_config_file(path)
     model_cfg = ModelConfig(**model_kwargs)
@@ -667,9 +695,12 @@ def test_parse_config_file_round_trip(tmp_path):
 
 def test_parse_config_file_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("window = 4\nwarmup = 5\n")
-    with pytest.raises(ValueError, match="line 2: unknown config key 'warmup'"):
-        parse_config_file(path)
+    # Adam's moment decays and eps are constants, not config keys
+    for line in ("warmup = 5", "beta1 = 0.9", "beta2 = 0.999", "eps = 1e-8"):
+        key = line.split()[0]
+        path.write_text(f"window = 4\n{line}\n")
+        with pytest.raises(ValueError, match=f"line 2: unknown config key '{key}'"):
+            parse_config_file(path)
 
 
 def test_parse_config_file_rejects_bad_syntax_and_type(tmp_path):
@@ -680,6 +711,26 @@ def test_parse_config_file_rejects_bad_syntax_and_type(tmp_path):
     path.write_text("epochs = soon\n")
     with pytest.raises(ValueError, match="epochs expects int"):
         parse_config_file(path)
+    path.write_bytes(b"window = 4\nlr = \xff\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: byte 16 is not valid UTF-8"):
+        parse_config_file(path)
+    path.write_text("lr = 0.1\nwindow = 4\nlr = 0.001\n")
+    with pytest.raises(ValueError, match="line 3: 'lr' already set on line 1"):
+        parse_config_file(path)
+
+
+def test_readme_config_table_lists_exactly_the_config_fields():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config files", 1)[1].split("\n#", 1)[0]
+    keys = set()
+    for row in section.splitlines():
+        cells = row.split("|")[1:-1]
+        # two key/default column pairs per row, split by an empty column
+        for cell in cells[0::3]:
+            match = re.fullmatch(r"\s*`(\w+)`\s*", cell)
+            if match:
+                keys.add(match.group(1))
+    assert keys == {f.name for f in fields(ModelConfig)} | {f.name for f in fields(TrainConfig)}
 
 
 def test_write_report_csv_and_text(tmp_path):

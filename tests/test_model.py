@@ -59,8 +59,9 @@ def test_config_validation():
         _tiny_config(heads=3)
     with pytest.raises(ValueError, match="patch"):
         _tiny_config(patch=3)
-    with pytest.raises(ValueError, match="dropout"):
-        _tiny_config(dropout=1.0)
+    for dropout in (1.0, "0.1", None, False):
+        with pytest.raises(ValueError, match="^dropout must be"):
+            _tiny_config(dropout=dropout)
     with pytest.raises(ValueError, match="pe_mode"):
         _tiny_config(pe_mode="bogus")
     with pytest.raises(ValueError, match="attention"):
@@ -80,6 +81,17 @@ def test_config_rejects_a_size_that_is_not_an_int(field, value):
     # a float window used to build and train, then fail in save_checkpoint
     with pytest.raises(ValueError, match=f"^{field} must be an int"):
         _tiny_config(**{field: value})
+
+
+def test_config_ints_fit_their_checkpoint_fields(tmp_path):
+    # the nine sizes are u32 in the MFCK config block, the seed i64
+    assert _tiny_config(seed=2**63 - 1, ffn=2**32 - 1).ffn == 2**32 - 1
+    for field, value in (("seed", 2**63), ("ffn", 2**32), ("layers", 2**32)):
+        with pytest.raises(ValueError, match=f"^{field} must be an int in"):
+            _tiny_config(**{field: value})
+    cfg = _tiny_config(seed=2**63 - 1)
+    save_checkpoint(MemFormer(cfg), tmp_path / "m.ckpt")
+    assert load_checkpoint(tmp_path / "m.ckpt").config == cfg
 
 
 # -- forward ------------------------------------------------------------------

@@ -48,8 +48,9 @@ def test_zero_gradient_pure_decay():
 
 
 def test_first_step_matches_hand_computation():
+    # beta1 = 0.9, beta2 = 0.999 and eps = 1e-8 are Adam's constants
     params = _params({"w": [1.0]})
-    opt = Adam(params, lr=0.1, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = Adam(params, lr=0.1, weight_decay=0.0)
     params["w"].grad = np.array([0.5])
     opt.step()
     m_hat = 0.1 * 0.5 / (1 - 0.9)
@@ -115,8 +116,6 @@ def test_validates_hyperparameters():
     with pytest.raises(ValueError):
         Adam(_params({"w": [1.0]}), lr=-1.0)
     with pytest.raises(ValueError):
-        Adam(_params({"w": [1.0]}), beta1=1.0)
-    with pytest.raises(ValueError):
         Adam(_params({"w": [1.0]}), weight_decay=-0.1)
 
 
@@ -127,10 +126,6 @@ def test_validates_hyperparameters():
         ("lr", np.inf, "learning rate"),
         ("weight_decay", np.nan, "weight decay"),
         ("weight_decay", np.inf, "weight decay"),
-        ("eps", 0.0, "eps"),
-        ("eps", -1.0, "eps"),
-        ("eps", np.nan, "eps"),
-        ("eps", np.inf, "eps"),
     ],
 )
 def test_rejects_hyperparameters_that_poison_the_first_step(field, value, named):
