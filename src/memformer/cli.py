@@ -61,6 +61,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-cube", required=True)
     p.add_argument("--out-labels", required=True)
+    p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("split", help="stratified train/val/test split of a label map")
     p.add_argument("--labels", required=True)
@@ -69,36 +70,46 @@ def build_parser():
     p.add_argument("--test-frac", type=float, default=0.50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
+    p.set_defaults(handler=_cmd_split)
 
     p = sub.add_parser("train", help="fit a model and save the best-validation checkpoint")
     _data_flags(p)
     p.add_argument("--config", required=True, help="flat key = value config file")
     p.add_argument("--checkpoint-out", required=True)
     p.add_argument("--log-out", required=True, help="per-epoch CSV log")
+    p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
     _data_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--report-out", required=True)
+    p.set_defaults(handler=_cmd_eval)
 
-    for name, text in (
-        ("ablate-attention", "memory vs token self-attention, all else fixed"),
-        ("ablate-pe", "one trial per positional-embedding mode"),
-        ("sweep-memory", "one trial per memory capacity"),
+    for name, text, driver, title, notes in (
+        ("ablate-attention", "memory vs token self-attention, all else fixed", ablate_attention,
+         "attention ablation (memory vs token self-attention)", ()),
+        ("ablate-pe", "one trial per positional-embedding mode", ablate_pe,
+         "positional-embedding ablation", ()),
+        ("sweep-memory", "one trial per memory capacity", sweep_memory, "memory-capacity sweep",
+         ("reference: on the Indian Pines benchmark the best reported overall accuracy, "
+          "99.23, occurs at memory size 10 (informational, not asserted)",)),
     ):
         p = sub.add_parser(name, help=text)
         _data_flags(p)
         p.add_argument("--config", required=True)
         p.add_argument("--report-out", required=True, help="CSV path; a .txt twin is written too")
-        if name == "sweep-memory":
+        p.set_defaults(handler=_cmd_ablate, driver=driver, title=title, notes=notes)
+        if driver is sweep_memory:
             p.add_argument(
                 "--sizes",
-                default=",".join(str(s) for s in DEFAULT_MEMORY_SIZES),
+                type=_sizes,
+                default=DEFAULT_MEMORY_SIZES,
                 help="comma-separated memory capacities",
             )
 
     p = sub.add_parser("params", help="print the parameter census for a config")
     p.add_argument("--config", required=True)
+    p.set_defaults(handler=_cmd_params)
 
     return parser
 
@@ -109,27 +120,20 @@ def _data_flags(p):
     p.add_argument("--manifest", required=True)
 
 
+def _sizes(text):
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except (FormatError, CheckpointError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _dispatch(args):
-    handler = {
-        "synth": _cmd_synth,
-        "split": _cmd_split,
-        "train": _cmd_train,
-        "eval": _cmd_eval,
-        "ablate-attention": _cmd_ablate,
-        "ablate-pe": _cmd_ablate,
-        "sweep-memory": _cmd_ablate,
-        "params": _cmd_params,
-    }[args.command]
-    return handler(args)
 
 
 def _cmd_synth(args):
@@ -239,25 +243,11 @@ def _cmd_eval(args):
 def _cmd_ablate(args):
     cube, labels, manifest = _load_inputs(args)
     model_cfg, train_cfg = _build_configs(args, cube, labels)
-    if args.command == "ablate-attention":
-        rows = ablate_attention(cube, manifest, model_cfg, train_cfg)
-        title = "attention ablation (memory vs token self-attention)"
-        notes = ()
-    elif args.command == "ablate-pe":
-        rows = ablate_pe(cube, manifest, model_cfg, train_cfg)
-        title = "positional-embedding ablation"
-        notes = ()
-    else:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-        rows = sweep_memory(cube, manifest, model_cfg, train_cfg, sizes=sizes)
-        title = "memory-capacity sweep"
-        notes = (
-            "reference: on the Indian Pines benchmark the best reported overall "
-            "accuracy, 99.23, occurs at memory size 10 (informational, not asserted)",
-        )
+    sizes = {"sizes": args.sizes} if "sizes" in args else {}
+    rows = args.driver(cube, manifest, model_cfg, train_cfg, **sizes)
     write_report_csv(rows, args.report_out)
     text_path = str(Path(args.report_out).with_suffix(".txt"))
-    write_report_text(rows, text_path, title, notes=notes)
+    write_report_text(rows, text_path, args.title, notes=args.notes)
     print(f"wrote {args.report_out} and {text_path} ({len(rows)} trials)")
     return 0
 

@@ -348,17 +348,28 @@ def save_manifest(manifest, path):
     Path(path).write_text(manifest_text(manifest))
 
 
-def load_manifest(path):
-    """Parse a manifest file; malformed lines raise FormatError by number."""
+def _text_lines(path, error):
+    """(line number, text) of each line of a UTF-8 text file.
+
+    A line ends only at a line feed, and a carriage return just before it is
+    dropped; every other character, other line separators included, belongs
+    to its line. A byte that is not UTF-8 raises ``error`` naming its line.
+    """
     data = Path(path).read_bytes()
     try:
         text = data.decode()
     except UnicodeDecodeError as e:
         lineno = data.count(b"\n", 0, e.start) + 1
-        raise FormatError(f"{path}: line {lineno}: byte {e.start} is not valid UTF-8") from None
+        raise error(f"{path}: line {lineno}: byte {e.start} is not valid UTF-8") from None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        yield lineno, line.removesuffix("\r")
+
+
+def load_manifest(path):
+    """Parse a manifest file; malformed lines raise FormatError by number."""
     parts = {"train": [], "val": [], "test": []}
     first_line = {}  # (row, col) -> line that assigned it
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in _text_lines(path, FormatError):
         if not line.strip():
             continue
         fields = line.split(",")

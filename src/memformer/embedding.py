@@ -133,11 +133,6 @@ def sspe_spatial(x, y, embed_dim):
 
 def _band_weights(profiles):
     """Each (..., S) band profile normalized to sum 1; all-zero ones become uniform."""
-    profiles = np.asarray(profiles, dtype=np.float64)
-    if profiles.ndim < 1:
-        raise ValueError(f"band profiles need a band axis, got shape {profiles.shape}")
-    if (profiles < 0).any():
-        raise ValueError("band profile entries must be >= 0")
     totals = profiles.sum(axis=-1, keepdims=True)
     return np.where(totals == 0, 1.0 / profiles.shape[-1], profiles / np.where(totals == 0, 1.0, totals))
 
@@ -203,7 +198,7 @@ class PositionalEmbedding:
         if self.mode == "learnable":
             return p["pos.table"]
 
-        spatial = np.broadcast_to(self.spatial, (shape[0],) + self.spatial.shape).copy()
+        spatial = np.broadcast_to(self.spatial, (shape[0],) + self.spatial.shape)
         spa = ad.matmul(ad.constant(spatial), p["sspe.proj_spatial"])
         # K_sigma-vectors: each token's band energies weighting the band sinusoids
         spectral = _band_weights(np.abs(tokens).mean(axis=(2, 3))) @ self.band_table

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import extract_window, manifest_sha256
+from .data import _text_lines, extract_window, manifest_sha256
 from .embedding import PE_MODES
 from .metrics import EvalReport, confusion_matrix
 from .model import ATTENTION_MODES, MemFormer, ModelConfig, _require_float, _require_int
@@ -294,16 +294,10 @@ def parse_config_file(path):
     Keys are ModelConfig / TrainConfig field names; ``seed`` sets both.
     ``#`` starts a comment; an unknown or repeated key fails by its line.
     """
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode()
-    except UnicodeDecodeError as e:
-        lineno = data.count(b"\n", 0, e.start) + 1
-        raise ValueError(f"{path}: line {lineno}: byte {e.start} is not valid UTF-8") from None
     model_kwargs = {}
     train_kwargs = {}
     first_line = {}  # key -> line that set it
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in _text_lines(path, ValueError):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,12 +1,13 @@
 """End-to-end command-line pipeline: synth, split, train, eval, ablations."""
 
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from memformer.cli import main
+from memformer.cli import build_parser, main
 from memformer.data import load_cube, load_labels, load_manifest
 from memformer.model import MemFormer, ModelConfig, load_checkpoint
 
@@ -190,6 +191,28 @@ def test_sweep_memory_custom_sizes(workdir, capsys):
     assert [row["memory_size"] for row in rows] == ["1", "3"]
     text = (workdir["root"] / "sweep.txt").read_text()
     assert "99.23" in text and "memory size 10" in text
+
+
+def test_sweep_memory_rejects_fractional_size_before_loading_inputs(workdir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(
+            ["sweep-memory", "--cube", str(tmp_path / "missing.hsc"), "--labels", workdir["labels"],
+             "--manifest", workdir["manifest"], "--config", workdir["cfg"],
+             "--report-out", str(tmp_path / "sweep.csv"), "--sizes", "2.7"]
+        )
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --sizes:" in err and "missing.hsc" not in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_readme_command_block_names_exactly_the_subcommands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    documented = set(re.findall(r"^memformer ([\w-]+)", section, re.MULTILINE))
+    usage = build_parser().format_usage()
+    registered = set(re.search(r"\{([\w,-]+)\}", usage).group(1).split(","))
+    assert documented == registered
 
 
 def test_params_census_matches_library(workdir, capsys):

@@ -1,5 +1,7 @@
 """Cube/label I/O, synthetic scenes, windowing, and stratified splits."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -414,6 +416,25 @@ def test_manifest_fault_names_path_and_line(tmp_path, text, what):
         load_manifest(path)
     assert str(path) in str(info.value)
     assert what in str(info.value)
+
+
+def test_manifest_lines_end_only_at_line_feed(tmp_path):
+    path = tmp_path / "bad.txt"
+    # line 2 holds two assignments, split by every break str.splitlines knows
+    # but a line feed; the second repeats line 1's pixel
+    breaks = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\r"
+    path.write_text(f"train,0,0,1\ntrain,0,1,1{breaks}train,0,0,1\n", newline="")
+    expected = f"^{re.escape(str(path))}: line 2: expected 'split,row,col,class'"
+    with pytest.raises(FormatError, match=expected):
+        load_manifest(path)
+
+
+def test_manifest_with_crlf_line_ends_reads_as_with_lf(tmp_path):
+    _, labels = synth_scene(12, 12, 4, 3, seed=5)
+    m = stratified_split(labels, (0.2, 0.1, 0.5), seed=4)
+    path = tmp_path / "split.txt"
+    path.write_text(manifest_text(m).replace("\n", "\r\n"), newline="")
+    assert manifest_text(load_manifest(path)) == manifest_text(m)
 
 
 def test_manifest_rejects_overlap():

@@ -204,11 +204,6 @@ def test_spectral_encoding_broadcasts_over_profiles():
             np.testing.assert_allclose(got[i, j], _spectral(profiles[i, j], 6), rtol=1e-14)
 
 
-def test_spectral_encoding_rejects_negative():
-    with pytest.raises(ValueError):
-        _spectral(np.array([0.5, -0.1]), 8)
-
-
 def test_sspe_dims_round_up_for_odd_embed():
     assert sspe_spatial(0, 0, 15).shape == (16,)
     assert _spectral(np.ones(3), 15).shape == (16,)

@@ -719,6 +719,29 @@ def test_parse_config_file_rejects_bad_syntax_and_type(tmp_path):
         parse_config_file(path)
 
 
+def test_parse_config_file_lines_end_only_at_line_feed(tmp_path):
+    path = tmp_path / "bad.cfg"
+    # every break str.splitlines knows but a line feed
+    breaks = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\r"
+    path.write_text(f"window = 4\n# a comment{breaks}with breaks in it\nwarmup = 1\n", newline="")
+    with pytest.raises(ValueError, match="line 3: unknown config key 'warmup'"):
+        parse_config_file(path)
+    path.write_text(f"window = 4\nlr = 0.1{breaks}warmup = 1\n", newline="")
+    with pytest.raises(ValueError, match="line 2: lr expects float"):
+        parse_config_file(path)
+
+
+def test_parse_config_file_reads_crlf_as_lf(tmp_path):
+    text = "# model\nwindow = 4\npe_mode = learnable  # table\n\nlr = 0.01\nseed = 7\n"
+    lf, crlf = tmp_path / "lf.cfg", tmp_path / "crlf.cfg"
+    lf.write_text(text, newline="")
+    crlf.write_text(text.replace("\n", "\r\n"), newline="")
+    assert parse_config_file(crlf) == parse_config_file(lf) == (
+        {"window": 4, "pe_mode": "learnable", "seed": 7},
+        {"lr": 0.01, "seed": 7},
+    )
+
+
 def test_readme_config_table_lists_exactly_the_config_fields():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Config files", 1)[1].split("\n#", 1)[0]

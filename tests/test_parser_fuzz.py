@@ -2,9 +2,12 @@
 
 Mutated bytes of a valid HSC1 cube, HSL1 label map, split manifest or MFCK
 checkpoint either load or raise the parser's typed error, never another
-exception. Valid objects round-trip bitwise. ``tests/conftest.py`` fixes the
+exception. A manifest or config file error names a line the file has.
+Valid objects round-trip bitwise. ``tests/conftest.py`` fixes the
 example set, so every run checks the same inputs.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from memformer.data import (
     stratified_split,
     synth_scene,
 )
+from memformer.harness import parse_config_file
 from memformer.model import (
     CheckpointError,
     MemFormer,
@@ -113,6 +117,38 @@ def test_fuzz_checkpoint_bytes(scratch, data):
     blob = _valid_mfck(scratch / "valid.mfck")
     mutated = data.draw(_mutated(blob, frozen=_MFCK_SIZES))
     _load_or_typed_error(load_checkpoint, scratch / "fuzz.mfck", mutated, CheckpointError)
+
+
+# everything str.splitlines breaks at; of these only a line feed ends a line
+_SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@st.composite
+def _text_file(draw, lines):
+    """``lines`` drawn in any order, each ended by any separator, UTF-8
+    encoded, then maybe one byte that is not UTF-8."""
+    parts = draw(st.lists(st.tuples(st.sampled_from(lines), st.sampled_from(_SEPARATORS)), max_size=8))
+    return "".join(line + sep for line, sep in parts).encode() + draw(st.sampled_from([b"", b"\xff"]))
+
+
+@pytest.mark.parametrize(
+    "load, lines",
+    [
+        (load_manifest, ["train,0,0,1", "val,1,2,2", "test,0,0,1", "train,x,0,1", "bad", ""]),
+        (parse_config_file, ["window = 4", "lr = 0.1", "# note", "warmup = 1", "epochs = soon", ""]),
+    ],
+    ids=["manifest", "config"],
+)
+@given(data=st.data())
+def test_text_errors_name_a_line_of_the_file(scratch, load, lines, data):
+    blob = data.draw(_text_file(lines))
+    path = scratch / "text.txt"
+    path.write_bytes(blob)
+    try:
+        load(path)
+    except ValueError as e:  # FormatError is a ValueError
+        named = [int(n) for n in re.findall(r"line (\d+)", str(e))]
+        assert named and max(named) <= blob.count(b"\n") + 1
 
 
 # -- valid objects round-trip bitwise ---------------------------------------------
