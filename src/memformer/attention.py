@@ -18,10 +18,9 @@ bank-major: ``kh @ swapaxes(qh)`` is written into a (B, h, L, T) view of a
 buffer stored slot by slot, (L, B, h, T) in memory. The softmax over the
 bank axis then runs in place as one elementwise pass over a contiguous
 (B, h, T) block per bank slot, instead of one numpy reduce per L-long row,
-which costs more than the GEMMs when L = M_len = 10. Its sum is spelled out
-(``autodiff._col_sum``) because it must repeat numpy's pairwise order: a
-plain ``sum(axis=-2)`` adds the slots one after another and differs in the
-last bit. The weighted sum and the query and bank gradients are GEMMs that
+which costs more than the GEMMs when L = M_len = 10. Its sum, forward and
+backward, is ``autodiff._col_sum``: slots added in index order, as in every
+softmax. The weighted sum and the query and bank gradients are GEMMs that
 write straight into (B, T, h, d) buffers, so merging heads copies nothing.
 The backward works in the same layout and repeats the grad ops of the
 equivalent chain of primitives (reshape, transpose, matmul, scale, softmax)

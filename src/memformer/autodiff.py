@@ -405,52 +405,18 @@ def relu(x):
 # The softmax kernel reduces over axis -2 of a (..., n, m) array, one
 # elementwise pass over a whole (..., m) slice per step, so a short reduced
 # axis (the M_len = 10 bank slots) costs n passes instead of one numpy reduce
-# per row. The results are bitwise those of numpy's reduce over the
-# contiguous rows ``np.swapaxes(x, -1, -2).copy()``: a max is exact in any
-# order, so numpy's own ``x.max(axis=-2)`` serves, and the sum repeats
-# numpy's pairwise order step by step. ``x.sum(axis=-2)`` is not that order:
-# it adds the slices one after another.
-
-
-def _pairwise_sum(x, lo, n):
-    """Sum of slices ``lo .. lo+n-1`` on axis -2, in the order of numpy's
-    ``pairwise_sum``: a plain running sum from +0.0 below 8 terms; 8 running
-    sums combined as ((0+1)+(2+3))+((4+5)+(6+7)), then the tail, up to 128;
-    above that, two halves split at a multiple of 8."""
-    if n < 8:
-        s = np.zeros(x.shape[:-2] + (1, x.shape[-1]))
-        for j in range(lo, lo + n):
-            s += x[..., j : j + 1, :]
-        return s
-    if n <= 128:
-        end = lo + n - n % 8
-        r = x[..., lo : lo + 8, :]
-        if n < 16:
-            pairs = r[..., 0::2, :] + r[..., 1::2, :]
-        else:
-            # the running sums get their own buffer, which the pairs reuse
-            r = r + x[..., lo + 8 : lo + 16, :]
-            for j in range(lo + 16, end, 8):
-                r += x[..., j : j + 8, :]
-            pairs = r[..., 0::2, :]
-            pairs += r[..., 1::2, :]
-        pairs[..., 0::2, :] += pairs[..., 1::2, :]
-        s = pairs[..., :1, :]
-        s += pairs[..., 2:3, :]
-        for j in range(end, lo + n):
-            s += x[..., j : j + 1, :]
-        return s
-    half = n // 2 - (n // 2) % 8
-    s = _pairwise_sum(x, lo, half)
-    s += _pairwise_sum(x, lo + half, n - half)
-    return s
+# per row. A max is exact in any order, so numpy's ``x.max(axis=-2)`` serves.
+# A sum is not, so every softmax sums its slots with ``_col_sum``, in index
+# order: ``x.sum(axis=-2)`` keeps that order only while axis -2 is not the
+# innermost in memory, and otherwise goes pairwise.
 
 
 def _col_sum(x):
-    """``x.sum(axis=-2, keepdims=True)`` with the values of the row reduce:
-    its pairwise sum, added to the reduction's +0.0 start."""
-    s = _pairwise_sum(x, 0, x.shape[-2])
-    s += 0.0
+    """``x.sum(axis=-2, keepdims=True)`` added in index order from a +0.0
+    start, one elementwise pass per slice, whatever ``x``'s memory layout."""
+    s = x[..., :1, :] + 0.0
+    for j in range(1, x.shape[-2]):
+        s += x[..., j : j + 1, :]
     return s
 
 
@@ -476,7 +442,7 @@ def softmax_rows(logits):
     _softmax(x[..., None], y[..., None])
 
     def grad_fn(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
+        dot = _col_sum((g * y)[..., None])[..., 0]
         return (y * (g - dot),)
 
     return _node(y, (logits,), grad_fn, "softmax")

@@ -199,18 +199,22 @@ def _build_configs(args, cube=None, labels=None):
     model_kwargs, train_kwargs = parse_config_file(args.config)
     if cube is not None:
         model_kwargs.setdefault("bands", cube.bands)
-        if model_kwargs["bands"] != cube.bands:
-            raise ValueError(
-                f"config says bands = {model_kwargs['bands']} but cube has {cube.bands}"
-            )
-    if labels is not None:
         model_kwargs.setdefault("classes", labels.num_classes)
-        if model_kwargs["classes"] < labels.num_classes:
-            raise ValueError(
-                f"config says classes = {model_kwargs['classes']} "
-                f"but label map has {labels.num_classes}"
-            )
-    return ModelConfig(**model_kwargs), TrainConfig(**train_kwargs)
+    model_cfg = ModelConfig(**model_kwargs)
+    if cube is not None:
+        _check_fit(args.config, model_cfg, args, cube, labels)
+    return model_cfg, TrainConfig(**train_kwargs)
+
+
+def _check_fit(source, cfg, args, cube, labels):
+    """Raise unless the model config ``cfg``, read from the file ``source``,
+    takes the cube's bands and has a class for every label."""
+    if cfg.bands != cube.bands:
+        raise ValueError(f"{source} says bands = {cfg.bands} but cube has {cube.bands} ({args.cube})")
+    if cfg.classes < labels.num_classes:
+        raise ValueError(
+            f"{source} says classes = {cfg.classes} but label map has {labels.num_classes} ({args.labels})"
+        )
 
 
 def _cmd_train(args):
@@ -233,6 +237,7 @@ def _cmd_train(args):
 def _cmd_eval(args):
     cube, labels, manifest = _load_inputs(args)
     model = load_checkpoint(args.checkpoint)
+    _check_fit(args.checkpoint, model.config, args, cube, labels)
     report = evaluate(model, cube, manifest.test)
     text = report.summary() + f"\nmanifest sha256: {manifest_sha256(manifest)}\n"
     Path(args.report_out).write_text(text)

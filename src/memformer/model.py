@@ -105,11 +105,6 @@ class ModelConfig:
             raise ValueError(f"attention must be one of {ATTENTION_MODES}, got {self.attention!r}")
         self.pe_mode, self.attention = str(self.pe_mode), str(self.attention)
 
-    @property
-    def tokens(self):
-        """Sub-patches per window, excluding CLS."""
-        return (self.window // self.patch) ** 2
-
 
 class _EncoderLayer:
     """Attention block followed by an FFN with its own residual norm."""

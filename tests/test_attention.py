@@ -173,16 +173,25 @@ def test_attend_gradients_match_finite_difference(batch, bank_batch, heads):
         np.testing.assert_allclose(x.grad, want, rtol=1e-6, atol=1e-9, err_msg=name)
 
 
-# the small cases at 6 tokens, a 7-entry bank and width 8, then the default
-# model's shapes: B=16, T=50, K=64 against its shared (1, 10, 64) bank and
-# against self-attention keys, at d = 8 and d = 64, where BLAS may take
-# another kernel or operand orientation
-_BITWISE_CASES = [pytest.param(*case, 6, 7, 8, id="-".join(map(str, case))) for case in _ATTEND_CASES] + [
-    pytest.param(16, 1, 8, 50, 10, 64, id="model-bank-h8"),
-    pytest.param(16, 1, 1, 50, 10, 64, id="model-bank-h1"),
-    pytest.param(16, 16, 8, 50, 50, 64, id="model-self-h8"),
-    pytest.param(16, 16, 1, 50, 50, 64, id="model-self-h1"),
-]
+# the small cases at 6 tokens, a 7-entry bank and width 8; a (B, h, T) block
+# of one or two elements per bank slot against banks of 1, 8 and 129 slots;
+# then the default model's shapes: B=16, T=50, K=64 against its shared
+# (1, 10, 64) bank and against self-attention keys, at d = 8 and d = 64,
+# where BLAS may take another kernel or operand orientation
+_BITWISE_CASES = (
+    [pytest.param(*case, 6, 7, 8, id="-".join(map(str, case))) for case in _ATTEND_CASES]
+    + [
+        pytest.param(1, 1, 1, t, length, 8, id=f"block{t}-bank{length}")
+        for t in (1, 2)
+        for length in (1, 8, 129)
+    ]
+    + [
+        pytest.param(16, 1, 8, 50, 10, 64, id="model-bank-h8"),
+        pytest.param(16, 1, 1, 50, 10, 64, id="model-bank-h1"),
+        pytest.param(16, 16, 8, 50, 50, 64, id="model-self-h8"),
+        pytest.param(16, 16, 1, 50, 50, 64, id="model-self-h1"),
+    ]
+)
 
 
 @pytest.mark.parametrize("batch, bank_batch, heads, tokens, length, width", _BITWISE_CASES)

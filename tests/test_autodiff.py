@@ -545,6 +545,14 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
+def _index_order_sum(rows):
+    """Sum over the last axis, kept: +0.0, then each term in index order."""
+    s = np.zeros(rows.shape[:-1] + (1,))
+    for j in range(rows.shape[-1]):
+        s += rows[..., j : j + 1]
+    return s
+
+
 @pytest.mark.parametrize("length", [1, 2, 10, 51])
 def test_softmax_row_max_is_bitwise_the_reduction(length):
     rng = np.random.default_rng(length)
@@ -558,15 +566,14 @@ def test_softmax_row_max_is_bitwise_the_reduction(length):
     want_max = x.max(axis=-1, keepdims=True)
     assert np.array_equal(np.swapaxes(_columns(x).max(axis=-2, keepdims=True), -1, -2), want_max)
     e = np.exp(x - want_max)
-    want = e / e.sum(axis=-1, keepdims=True)
+    want = e / _index_order_sum(e)
     assert np.array_equal(ad.softmax_rows(ad.constant(x)).data, want)
     # in place, as attend runs it in its bank-major score buffer
     buf = _columns(x)
     assert ad._softmax(buf, buf) is buf and np.array_equal(np.swapaxes(buf, -1, -2), want)
 
 
-# every branch of numpy's pairwise sum: under 8 terms, 8 running sums plus a
-# tail up to 128, and the recursive split above 128, one and two levels deep
+# every row length up to 139, and three longer ones
 _COLUMN_LENGTHS = [*range(1, 140), 200, 257, 1000]
 
 
@@ -584,21 +591,27 @@ def _hard_rows(rng, length):
     return rows
 
 
-def test_column_max_and_sum_are_bitwise_numpy_row_reductions():
-    # bitwise, sign of zero included, against numpy's own reductions of the
-    # contiguous rows; a numpy whose summation order changes fails here
+def test_column_max_is_numpy_row_max_and_column_sum_is_index_order():
+    # bitwise, sign of zero included: the max against numpy's own reduce of
+    # the contiguous rows, the sum against a running sum in index order
     rng = np.random.default_rng(61)
     for length in _COLUMN_LENGTHS:
         rows = _hard_rows(rng, length)
-        want_max = rows.max(axis=-1, keepdims=True)
-        want_sum = rows.sum(axis=-1, keepdims=True)
-        # a contiguous (..., n, m) input and attend's slot-major memory
+        flat = rows.reshape(-1, length)
+        want_max = flat.max(axis=-1)
+        want_sum = _index_order_sum(flat)[:, 0]
+        # row (1, 0) is all -0.0: from the +0.0 start its sum is +0.0
+        assert _same_bits(want_sum[5:6], np.zeros(1)), length
+        # a contiguous (..., n, m) input, attend's slot-major memory, and a
+        # view whose reduced axis is innermost, where numpy's own sum(axis=-2)
+        # goes pairwise
         slot_major = np.empty((length, 3, 5)).transpose(1, 0, 2)
         slot_major[...] = _columns(rows)
-        for cols in (_columns(rows), slot_major):
+        innermost = np.moveaxis(rows, -1, 0).reshape(length, -1)
+        for cols in (_columns(rows), slot_major, innermost):
             before = cols.copy()
-            assert _same_bits(np.swapaxes(cols.max(axis=-2, keepdims=True), -1, -2), want_max), length
-            assert _same_bits(np.swapaxes(ad._col_sum(cols), -1, -2), want_sum), length
+            assert _same_bits(cols.max(axis=-2, keepdims=True).reshape(-1), want_max), length
+            assert _same_bits(ad._col_sum(cols).reshape(-1), want_sum), length
             assert _same_bits(cols, before), length
 
 
@@ -615,7 +628,7 @@ def test_column_max_of_mixed_signed_zeros_does_not_reach_the_softmax():
         col_max = _columns(rows).max(axis=-2, keepdims=True)
         assert np.array_equal(np.swapaxes(col_max, -1, -2), want_max), length
         e = np.exp(rows - want_max)
-        want = e / e.sum(axis=-1, keepdims=True)
+        want = e / _index_order_sum(e)
         assert _same_bits(ad.softmax_rows(ad.constant(rows)).data, want), length
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from memformer.cli import build_parser, main
 from memformer.data import load_cube, load_labels, load_manifest
-from memformer.model import MemFormer, ModelConfig, load_checkpoint
+from memformer.model import MemFormer, ModelConfig, load_checkpoint, save_checkpoint
 
 TINY_CFG = """
 window = 4
@@ -285,6 +285,28 @@ def test_cli_rejects_band_mismatch(workdir, tmp_path, capsys):
     )
     assert code == 2
     assert "bands = 5 but cube has 6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("bands", 8, "says bands = 8 but cube has 6 ({cube})"),
+     ("classes", 1, "says classes = 1 but label map has 2 ({labels})")],
+)
+def test_eval_names_the_checkpoint_that_does_not_fit_the_inputs(
+    workdir, tmp_path, capsys, monkeypatch, field, value, message
+):
+    def no_eval(*args, **kwargs):
+        raise AssertionError("evaluation started")
+
+    monkeypatch.setattr("memformer.cli.evaluate", no_eval)
+    cfg = dict(window=4, patch=2, bands=6, embed=8, layers=1, heads=2, ffn=16, memory=2, classes=2)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(MemFormer(ModelConfig(**{**cfg, field: value})), ckpt)
+    report = tmp_path / "r.txt"
+    code = main(["eval", *data_flags(workdir), "--checkpoint", str(ckpt), "--report-out", str(report)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {ckpt} {message.format(**workdir)}\n"
+    assert not report.exists()
 
 
 def test_cli_rejects_label_cube_shape_mismatch(workdir, tmp_path, capsys):

@@ -615,8 +615,8 @@ def test_ablate_pe_four_rows_and_census_delta(scene):
     assert [row["pe_mode"] for row in rows] == ["none", "learnable", "sinusoidal1d", "sspe"]
     assert len({row["fingerprint"] for row in rows}) == 1
     by_mode = {row["pe_mode"]: row for row in rows}
-    tokens = tiny_model_config().tokens
-    embed = tiny_model_config().embed
+    cfg = tiny_model_config()
+    tokens, embed = (cfg.window // cfg.patch) ** 2, cfg.embed
     delta = by_mode["learnable"]["trainable_params"] - by_mode["none"]["trainable_params"]
     assert delta == tokens * embed
     assert by_mode["sinusoidal1d"]["trainable_params"] == by_mode["none"]["trainable_params"]

@@ -69,7 +69,8 @@ def test_config_validation():
     with pytest.raises(ValueError, match="layers"):
         _tiny_config(layers=-1)
     assert _tiny_config(layers=0).layers == 0
-    assert _tiny_config().tokens == 4
+    cfg = _tiny_config()
+    assert (cfg.window // cfg.patch) ** 2 == 4
     assert _tiny_config(window=np.int64(4), layers=np.int32(2)).layers == 2
 
 
@@ -158,7 +159,7 @@ def test_layer0_input_is_cls_then_tokens_plus_positional_rows(pe_mode):
     layer.forward = spy
     model.forward(batch)
     (z,) = seen
-    assert z.shape == (2, cfg.tokens + 1, cfg.embed)
+    assert z.shape == (2, (cfg.window // cfg.patch) ** 2 + 1, cfg.embed)
     tokens = tokenize_batch(batch, cfg.patch)
     rows = model.projector.forward(tokens).data + model.positional.forward(tokens).data
     for sample in z:
@@ -256,7 +257,7 @@ def test_classifier_bias_shift_keeps_predictions():
 
 def _census_closed_form(cfg):
     k, d, c = cfg.embed, cfg.ffn, cfg.classes
-    n = cfg.tokens
+    n = (cfg.window // cfg.patch) ** 2
     total = k  # CLS
     total += k * cfg.patch * cfg.patch * cfg.bands + k  # projector
     if cfg.pe_mode == "learnable":
