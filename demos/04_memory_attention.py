@@ -44,7 +44,7 @@ print(f"eval forward left it alone: {bool(np.array_equal(block.memory, bank_afte
 print(f"each forward also returns its first-pass weights (B, h, T, M_len): {first_weights.shape}")
 
 print("\n== the bank never receives gradients ==")
-loss = ad.tensor_sum(block.forward(z, train=False)[0])
+loss = ad.tensor_mean(block.forward(z, train=False)[0])
 loss.backward()
 has_grads = all(p.grad is not None for p in block.parameters('blk').values())
 print(f"all block parameters got gradients: {has_grads}")

@@ -46,6 +46,7 @@ import contextlib
 import numpy as np
 
 from . import autodiff as ad
+from ._checks import _require_int
 
 __all__ = [
     "project_memory",
@@ -84,7 +85,8 @@ def attend(q, k_mem, v_mem, heads):
     if q.ndim != 3 or k_mem.ndim != 3 or v_mem.ndim != 3:
         raise ValueError("attend expects rank-3 (batch, tokens, width) inputs")
     b, t, k = q.shape
-    if heads < 1 or k % heads != 0:
+    heads = _require_int("heads", heads, 1)
+    if k % heads != 0:
         raise ValueError(f"head count {heads} must divide width {k}")
     if k_mem.shape[0] not in (1, b) or k_mem.shape[2] != k or v_mem.shape != k_mem.shape:
         raise ValueError(f"bank shapes {k_mem.shape}, {v_mem.shape} do not match queries {q.shape}")
@@ -143,8 +145,7 @@ def residual_norm(x, y, gain, bias, rate=0.0, rng=None, train=False):
     The sum and the norm are one node: the sum goes into a fresh buffer that
     is then normalised in place, and ``x`` and ``y`` get the same gradient.
     """
-    if train and rate > 0:
-        y = ad.dropout(y, rate, rng, train=True)
+    y = ad.dropout(y, rate, rng, train)
     return ad._layer_norm(x.data + y.data, (x, y), gain, bias, "residual_norm", owned=True)
 
 
@@ -170,9 +171,9 @@ class _AttentionBlock:
     """
 
     def __init__(self, embed_dim, heads, rng, dropout_rate=0.1):
-        if heads < 1 or embed_dim % heads != 0:
+        self.heads = heads = _require_int("heads", heads, 1)
+        if embed_dim % heads != 0:
             raise ValueError(f"head count {heads} must divide embed dim {embed_dim}")
-        self.heads = heads
         self.w_q = ad.glorot_uniform(rng, (embed_dim, embed_dim))
         self.w_k = ad.glorot_uniform(rng, (embed_dim, embed_dim))
         self.w_v = ad.glorot_uniform(rng, (embed_dim, embed_dim))
@@ -199,8 +200,8 @@ class MemoryAttention(_AttentionBlock):
     """
 
     def __init__(self, embed_dim, heads, capacity, rng, dropout_rate=0.1):
-        if capacity < 1 or embed_dim < 1:
-            raise ValueError(f"capacity and width must be >= 1, got {capacity}, {embed_dim}")
+        embed_dim = _require_int("embed_dim", embed_dim, 1)
+        capacity = _require_int("capacity", capacity, 1)
         super().__init__(embed_dim, heads, rng, dropout_rate)
         self.memory = np.zeros((capacity, embed_dim))
 

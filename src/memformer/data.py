@@ -27,6 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import _I64_MAX, _require_float, _require_int
+
 __all__ = [
     "FormatError",
     "HSICube",
@@ -47,7 +49,6 @@ __all__ = [
 
 _CUBE_MAGIC = b"HSC1"
 _LABEL_MAGIC = b"HSL1"
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 class FormatError(ValueError):
@@ -185,14 +186,10 @@ def synth_scene(height, width, bands, classes, noise_sigma=0.05, blob_count=3, s
     its nearest seed, and its spectrum is the class signature plus i.i.d.
     Gaussian noise. Fully determined by ``seed``.
     """
-    if classes < 2:
-        raise ValueError(f"need at least 2 classes, got {classes}")
-    if bands < 2:
-        raise ValueError(f"need at least 2 bands, got {bands}")
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    if blob_count < 1:
-        raise ValueError(f"blob_count must be >= 1, got {blob_count}")
+    classes = _require_int("classes", classes, 2)
+    bands = _require_int("bands", bands, 2)
+    blob_count = _require_int("blob_count", blob_count, 1)
+    noise_sigma = _require_float("noise_sigma", noise_sigma, np.inf)
     if height * width < classes * blob_count:
         raise ValueError(
             f"cannot place {classes * blob_count} blob seeds on a {height}x{width} scene"
@@ -239,8 +236,7 @@ def extract_window(cube, row, col, size):
     The window starts size//2 pixels up and left of the center; positions
     falling outside the cube are filled by mirror reflection at the edges.
     """
-    if size < 1:
-        raise ValueError(f"window size must be >= 1, got {size}")
+    size = _require_int("size", size, 1)
     if size > 2 * min(cube.height, cube.width):
         raise ValueError(
             f"window size {size} exceeds twice the smaller scene extent "
@@ -299,11 +295,10 @@ def stratified_split(label_map, fractions, seed):
     seeded shuffle; the remainder is deliberately left unused. A fraction may
     be zero. Classes with fewer than 3 labeled pixels are rejected by id.
     """
-    f = tuple(float(x) for x in fractions)
+    f = tuple(fractions)
     if len(f) != 3:
         raise ValueError(f"fractions must be (train, val, test), got {fractions!r}")
-    if min(f) < 0:
-        raise ValueError(f"fractions must be >= 0, got {f}")
+    f = [_require_float(f"{name} fraction", x, np.inf) for name, x in zip(("train", "val", "test"), f)]
     if sum(f) > 1.0 + 1e-9:
         raise ValueError(f"fractions must sum to at most 1, got {sum(f)}")
 
@@ -383,7 +378,7 @@ def load_manifest(path):
             raise FormatError(f"{path}: line {lineno}: negative row or column in {line!r}")
         if triple[2] < 1:
             raise FormatError(f"{path}: line {lineno}: unlabeled pixel (class 0) or negative class in {line!r}")
-        if max(triple) > _INT64_MAX:
+        if max(triple) > _I64_MAX:
             raise FormatError(f"{path}: line {lineno}: field above the 64-bit integer range in {line!r}")
         pixel = triple[:2]
         if pixel in first_line:

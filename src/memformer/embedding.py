@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from ._checks import _require_int
 
 __all__ = [
     "tokenize_batch",
@@ -49,8 +50,8 @@ def tokenize_batch(windows, patch_side):
     if windows.ndim != 4 or windows.shape[1] != windows.shape[2]:
         raise ValueError(f"expected (B, W_s, W_s, S) windows, got {windows.shape}")
     b, side = windows.shape[0], windows.shape[1]
-    w = int(patch_side)
-    if w < 1 or side % w != 0:
+    w = _require_int("patch_side", patch_side, 1)
+    if side % w != 0:
         raise ValueError(f"patch side {w} must divide the window side {side}")
     g = side // w
     return (
@@ -64,16 +65,11 @@ class PatchProjector:
     """Shared linear map + ReLU from flattened sub-patches to K-vectors."""
 
     def __init__(self, embed_dim, patch_side, bands, rng):
-        if min(embed_dim, patch_side, bands) < 1:
-            raise ValueError("embed_dim, patch_side, and bands must all be >= 1")
-        self.embed_dim = embed_dim
-        self.patch_side = patch_side
-        self.bands = bands
-        fan_in = patch_side * patch_side * bands
-        self.kernel = ad.glorot_uniform(
-            rng, (embed_dim, patch_side, patch_side, bands), fan_in=fan_in, fan_out=embed_dim
-        )
-        self.bias = ad.parameter(np.zeros(embed_dim))
+        self.embed_dim = k = _require_int("embed_dim", embed_dim, 1)
+        self.patch_side = w = _require_int("patch_side", patch_side, 1)
+        self.bands = s = _require_int("bands", bands, 1)
+        self.kernel = ad.glorot_uniform(rng, (k, w, w, s), fan_in=w * w * s, fan_out=k)
+        self.bias = ad.parameter(np.zeros(k))
 
     def forward(self, tokens):
         """(..., N, w, w, S) array of tokens -> (..., N, K) nonnegative embeddings."""
@@ -97,8 +93,9 @@ def sinusoid_encoding(position, dim, schedule_dim=None):
     sin(position / WAVELENGTH^(2j/schedule_dim)), entry 2j+1 the matching
     cos; ``schedule_dim`` defaults to ``dim``.
     """
-    if dim < 2 or dim % 2 != 0:
-        raise ValueError(f"encoding dim must be even and >= 2, got {dim}")
+    dim = _require_int("dim", dim, 2)
+    if dim % 2 != 0:
+        raise ValueError(f"dim must be even, got {dim}")
     schedule_dim = dim if schedule_dim is None else schedule_dim
     j = np.arange(dim // 2)
     angle = np.asarray(position, dtype=np.float64)[..., None] / np.power(

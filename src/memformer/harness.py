@@ -29,10 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from ._checks import _require_float, _require_int
 from .data import _text_lines, extract_window, manifest_sha256
 from .embedding import PE_MODES
 from .metrics import EvalReport, confusion_matrix
-from .model import ATTENTION_MODES, MemFormer, ModelConfig, _require_float, _require_int
+from .model import ATTENTION_MODES, MemFormer, ModelConfig
 from .optim import Adam
 
 __all__ = [

@@ -22,7 +22,6 @@ overwrites every tensor, so a round trip is bit identity.
 from __future__ import annotations
 
 import math
-import numbers
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -30,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from ._checks import _I64_MAX, _require_float, _require_int
 from .attention import MemoryAttention, StandardAttention, residual_norm
 from .embedding import PE_MODES, PatchProjector, PositionalEmbedding, tokenize_batch
 
@@ -46,30 +46,11 @@ ATTENTION_MODES = ("memory", "standard")
 CHECKPOINT_VERSION = 1
 # the sizes an MFCK config block stores as u32, and the ceilings of its fields
 _CONFIG_INTS = ("window", "patch", "bands", "embed", "layers", "heads", "ffn", "memory", "classes")
-_U32_MAX, _I64_MAX = 2**32 - 1, 2**63 - 1
+_U32_MAX = 2**32 - 1
 
 
 class CheckpointError(ValueError):
     """A checkpoint file is malformed or contradicts the expected config."""
-
-
-def _require_int(name, value, minimum, maximum=math.inf):
-    """``value`` as a Python int; ``ValueError`` naming ``name`` unless it is an
-    integer, Python or numpy but not a bool, in [``minimum``, ``maximum``]."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not minimum <= value <= maximum:
-        bound = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
-        raise ValueError(f"{name} must be an int {bound}, got {value!r}")
-    return int(value)
-
-
-def _require_float(name, value, below):
-    """``value`` as a Python float; ``ValueError`` naming ``name`` unless it is
-    a real number, Python or numpy but not a bool, in [0, ``below``)."""
-    # written so that NaN fails it
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < below:
-        rule = "finite and >= 0" if below == math.inf else f"in [0, {below})"
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
-    return float(value)
 
 
 @dataclass
@@ -204,7 +185,7 @@ class MemFormer:
         non_trainable = sum(b.size for b in self.buffers().values())
         return trainable, non_trainable
 
-    # -- forward paths ---------------------------------------------------------
+    # -- forward pass -----------------------------------------------------------
     def forward(self, batch, train=False):
         """(B, W_s, W_s, S) windows -> (B, C) logits."""
         batch = np.asarray(batch, dtype=np.float64)
@@ -231,17 +212,6 @@ class MemFormer:
 
         pooled = ad.tensor_mean(z, axis=1)
         return ad.affine(pooled, self.classifier_w, self.classifier_b)
-
-    def predict(self, batch):
-        """Most likely class per window (eval mode); ties go to the lower index."""
-        with ad.no_grad():
-            logits = self.forward(batch, train=False).data
-        return np.argmax(logits, axis=1)
-
-    def predict_proba(self, batch):
-        """Softmax class probabilities per window (eval mode)."""
-        with ad.no_grad():
-            return ad.softmax_rows(self.forward(batch, train=False)).data
 
 
 # -- checkpoint serialization ----------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import _require_float
+from ._checks import _require_float
 
 __all__ = ["Adam"]
 

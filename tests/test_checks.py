@@ -1,0 +1,67 @@
+"""One rule for every size, rate and fraction argument of data, embedding and
+attention: a float, a bool or (for rates and fractions) NaN raises a
+``ValueError`` that names the argument."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from memformer import autodiff as ad
+from memformer.attention import MemoryAttention, StandardAttention, attend
+from memformer.data import LabelMap, extract_window, stratified_split, synth_scene
+from memformer.embedding import PatchProjector, sinusoid_encoding, tokenize_batch
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+def _labels():
+    return LabelMap(np.repeat([1, 2], 10).reshape(-1, 1))
+
+
+def _attend(heads):
+    q = ad.constant(np.zeros((1, 2, 8)))
+    bank = ad.constant(np.zeros((1, 3, 8)))
+    return attend(q, bank, bank, heads)
+
+
+# where -> (argument name, call with the argument set to a value, a valid
+# value); the bad float of a size is integral, so only its type is wrong
+_SIZES = {
+    "synth_scene-classes": ("classes", lambda v: synth_scene(8, 8, 4, v), 2),
+    "synth_scene-bands": ("bands", lambda v: synth_scene(8, 8, v, 2), 4),
+    "synth_scene-blob_count": ("blob_count", lambda v: synth_scene(8, 8, 4, 2, blob_count=v), 2),
+    "extract_window-size": ("size", lambda v: extract_window(synth_scene(8, 8, 4, 2)[0], 1, 2, v), 3),
+    "tokenize_batch-patch_side": ("patch_side", lambda v: tokenize_batch(np.zeros((1, 4, 4, 3)), v), 2),
+    "PatchProjector-embed_dim": ("embed_dim", lambda v: PatchProjector(v, 2, 3, _rng()), 8),
+    "PatchProjector-patch_side": ("patch_side", lambda v: PatchProjector(8, v, 3, _rng()), 2),
+    "PatchProjector-bands": ("bands", lambda v: PatchProjector(8, 2, v, _rng()), 3),
+    "sinusoid_encoding-dim": ("dim", lambda v: sinusoid_encoding(0.5, v), 4),
+    "attend-heads": ("heads", _attend, 2),
+    "StandardAttention-heads": ("heads", lambda v: StandardAttention(8, v, _rng()), 2),
+    "MemoryAttention-heads": ("heads", lambda v: MemoryAttention(8, v, 2, _rng()), 2),
+    "MemoryAttention-embed_dim": ("embed_dim", lambda v: MemoryAttention(v, 2, 2, _rng()), 8),
+    "MemoryAttention-capacity": ("capacity", lambda v: MemoryAttention(8, 2, v, _rng()), 2),
+}
+_RATES = {
+    "synth_scene-noise_sigma": ("noise_sigma", lambda v: synth_scene(8, 8, 4, 2, noise_sigma=v), 0.05),
+    "stratified_split-train": ("train fraction", lambda v: stratified_split(_labels(), (v, 0.1, 0.1), 0), 0.5),
+    "stratified_split-val": ("val fraction", lambda v: stratified_split(_labels(), (0.1, v, 0.1), 0), 0.5),
+    "stratified_split-test": ("test fraction", lambda v: stratified_split(_labels(), (0.1, 0.1, v), 0), 0.5),
+}
+_CASES = [
+    pytest.param(name, call, good, bad, id=f"{where}-{bad!r}")
+    for table, bads in ((_SIZES, lambda good: (float(good), True)), (_RATES, lambda good: (True, math.nan)))
+    for where, (name, call, good) in table.items()
+    for bad in bads(good)
+]
+
+
+@pytest.mark.parametrize("name, call, good, bad", _CASES)
+def test_a_size_or_rate_of_the_wrong_kind_raises_naming_it(name, call, good, bad):
+    call(good)
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
+        call(bad)

@@ -276,6 +276,25 @@ def test_cli_rejects_nan_lr_before_training(workdir, tmp_path, capsys, monkeypat
         assert not ckpt.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["synth", "--height", "12", "--width", "12", "--bands", "6", "--classes", "2", "--noise", "nan",
+          "--out-cube", "c.hsc", "--out-labels", "l.hsl"], "noise_sigma"),
+        (["split", "--train-frac", "nan", "--out", "m.csv"], "train fraction"),
+    ],
+    ids=["synth-noise", "split-train-frac"],
+)
+def test_cli_rejects_a_nan_rate_by_name(workdir, tmp_path, capsys, monkeypatch, argv, name):
+    # nan used to pass synth as noise 0, and to reach split's int() of a pixel count
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "split":
+        argv = [*argv, "--labels", workdir["labels"]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {name} must be finite and >= 0, got nan\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_rejects_band_mismatch(workdir, tmp_path, capsys):
     cfg = tmp_path / "bands.cfg"
     cfg.write_text(TINY_CFG + "bands = 5\n")

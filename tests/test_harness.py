@@ -368,8 +368,9 @@ def test_read_only_forwards_neither_take_from_nor_add_to_the_step_pool(scene):
         # value left in every pooled array shows each take
         _fill_pool(7.0)
         evaluate(model, cube, manifest.test, batch_size=7)
-        model.predict(windows)
-        model.predict_proba(windows)
+        with ad.no_grad():
+            model.forward(windows)
+            ad.softmax_rows(model.forward(windows))
         assert _pooled_ids() == pooled
         assert _pooled_arrays_holding(7.0) == count
         # a recording forward does take from it, and needs nothing new
