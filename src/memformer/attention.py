@@ -83,7 +83,7 @@ def attend(q, k_mem, v_mem, heads):
     memory is slot-major (L, B, h, T).
     """
     if q.ndim != 3 or k_mem.ndim != 3 or v_mem.ndim != 3:
-        raise ValueError("attend expects rank-3 (batch, tokens, width) inputs")
+        raise ValueError(f"attend needs rank-3 inputs, got shapes {q.shape}, {k_mem.shape}, {v_mem.shape}")
     b, t, k = q.shape
     heads = _require_int("heads", heads, 1)
     if k % heads != 0:
@@ -146,7 +146,7 @@ def residual_norm(x, y, gain, bias, rate=0.0, rng=None, train=False):
     is then normalised in place, and ``x`` and ``y`` get the same gradient.
     """
     y = ad.dropout(y, rate, rng, train)
-    return ad._layer_norm(x.data + y.data, (x, y), gain, bias, "residual_norm", owned=True)
+    return ad._layer_norm(x.data + y.data, (x, y), gain, bias, "residual_norm")
 
 
 def update_memory(bank, attn_out):
@@ -170,7 +170,8 @@ class _AttentionBlock:
     block output with its attention weights.
     """
 
-    def __init__(self, embed_dim, heads, rng, dropout_rate=0.1):
+    def __init__(self, embed_dim, heads, rng, dropout_rate):
+        embed_dim = _require_int("embed_dim", embed_dim, 1)
         self.heads = heads = _require_int("heads", heads, 1)
         if embed_dim % heads != 0:
             raise ValueError(f"head count {heads} must divide embed dim {embed_dim}")
@@ -199,8 +200,7 @@ class MemoryAttention(_AttentionBlock):
     entries.
     """
 
-    def __init__(self, embed_dim, heads, capacity, rng, dropout_rate=0.1):
-        embed_dim = _require_int("embed_dim", embed_dim, 1)
+    def __init__(self, embed_dim, heads, capacity, rng, dropout_rate):
         capacity = _require_int("capacity", capacity, 1)
         super().__init__(embed_dim, heads, rng, dropout_rate)
         self.memory = np.zeros((capacity, embed_dim))
@@ -211,8 +211,6 @@ class MemoryAttention(_AttentionBlock):
         Train mode performs the FIFO refresh and second attention pass, then
         applies dropout to the attention output before the residual.
         """
-        if z.ndim != 3:
-            raise ValueError(f"expected (batch, tokens, width) input, got {z.shape}")
         q = ad.matmul(z, self.w_q)
         # in train mode the first pass only feeds the bank update, so it
         # records no graph; the loss sees the second pass
@@ -234,8 +232,6 @@ class StandardAttention(_AttentionBlock):
     """
 
     def forward(self, z, train=False, rng=None):
-        if z.ndim != 3:
-            raise ValueError(f"expected (batch, tokens, width) input, got {z.shape}")
         q = ad.matmul(z, self.w_q)
         k = ad.matmul(z, self.w_k)
         v = ad.matmul(z, self.w_v)

@@ -27,7 +27,7 @@ affine) and ``_layer_norm`` (a residual sum and its LayerNorm, used by
 forward and its backward, the numpy ops of the chain of primitives it
 replaces, in that chain's order, so values and gradients are bitwise the
 chain's. Fusing saves the elementwise passes and temporaries between the
-steps; a node writes in place only into buffers it allocated itself. ``add``
+steps; a node writes in place only into buffers allocated for it. ``add``
 and ``relu`` stay primitives because the model still calls them alone (the
 token plus positional sum, the projector ReLU). ``layer_norm`` stays as the
 public spelling of the formula ``_layer_norm`` holds; demo 01 calls it and
@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 import sys
 
 import numpy as np
@@ -173,17 +174,11 @@ def parameter(data):
     return Tensor(data, requires_grad=True)
 
 
-def glorot_uniform(rng, shape, fan_in=None, fan_out=None):
-    """Trainable tensor drawn uniform in +-sqrt(6 / (fan_in + fan_out)).
-
-    Fans default to the last two extents; pass them explicitly for
-    convolution-style kernels.
-    """
-    if fan_in is None:
-        fan_in = shape[-2] if len(shape) >= 2 else shape[-1]
-    if fan_out is None:
-        fan_out = shape[-1]
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
+def glorot_uniform(rng, shape):
+    """Trainable tensor drawn uniform in +-sqrt(6 / (fan_in + fan_out)) (Glorot
+    & Bengio, 2010). The fans sum to ``shape[0] + prod(shape[1:])``: a matrix's
+    two extents, or an ``(out, *window)`` kernel's out plus its window size."""
+    bound = np.sqrt(6.0 / (shape[0] + math.prod(shape[1:])))
     return parameter(rng.uniform(-bound, bound, size=shape))
 
 
@@ -448,16 +443,16 @@ def softmax_rows(logits):
     return _node(y, (logits,), grad_fn, "softmax")
 
 
-def _layer_norm(x, parents, gain, bias, op, owned):
+def _layer_norm(x, parents, gain, bias, op):
     """LayerNorm of the array ``x`` over its last axis, then ``* gain + bias``,
     recorded as one node.
 
-    ``x`` is the sum of the tensors in ``parents`` (or the one tensor's
-    values); each of them gets the gradient of ``x``. If ``owned``, ``x`` is
-    a buffer the caller allocated and it is centred and scaled in place. The
-    square buffer is reused for the output, so the forward allocates two
-    arrays of ``x``'s size instead of five, and the backward two instead of
-    seven; every step is the textbook formula's, in its order.
+    ``x`` is a buffer the caller allocated for it, holding the sum of the
+    tensors in ``parents`` (or a copy of the one tensor's values); each of
+    them gets the gradient of ``x``. It is centred and scaled in place, and
+    the square buffer is reused for the output, so the forward allocates two
+    arrays of ``x``'s size, ``x`` included, instead of five, and the backward
+    two instead of seven; every step is the textbook formula's, in its order.
     """
     n = x.shape[-1] if x.ndim else 0
     if n == 0:
@@ -465,7 +460,7 @@ def _layer_norm(x, parents, gain, bias, op, owned):
     if gain.shape != (n,) or bias.shape != (n,):
         raise ValueError(f"gain/bias must have shape ({n},), got {gain.shape} and {bias.shape}")
     mu = x.mean(axis=-1, keepdims=True)
-    xhat = np.subtract(x, mu, out=x if owned else None)
+    xhat = np.subtract(x, mu, out=x)
     out = np.multiply(xhat, xhat, out=_empty(xhat.shape))
     inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv
@@ -491,7 +486,7 @@ def _layer_norm(x, parents, gain, bias, op, owned):
 def layer_norm(x, gain, bias):
     """Normalise the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    return _layer_norm(x.data, (x,), gain, bias, "layer_norm", owned=False)
+    return _layer_norm(x.data.copy(), (x,), gain, bias, "layer_norm")
 
 
 def dropout(x, rate, rng, train):

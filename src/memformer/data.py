@@ -186,6 +186,8 @@ def synth_scene(height, width, bands, classes, noise_sigma=0.05, blob_count=3, s
     its nearest seed, and its spectrum is the class signature plus i.i.d.
     Gaussian noise. Fully determined by ``seed``.
     """
+    height = _require_int("height", height, 1)
+    width = _require_int("width", width, 1)
     classes = _require_int("classes", classes, 2)
     bands = _require_int("bands", bands, 2)
     blob_count = _require_int("blob_count", blob_count, 1)

@@ -68,7 +68,7 @@ class PatchProjector:
         self.embed_dim = k = _require_int("embed_dim", embed_dim, 1)
         self.patch_side = w = _require_int("patch_side", patch_side, 1)
         self.bands = s = _require_int("bands", bands, 1)
-        self.kernel = ad.glorot_uniform(rng, (k, w, w, s), fan_in=w * w * s, fan_out=k)
+        self.kernel = ad.glorot_uniform(rng, (k, w, w, s))
         self.bias = ad.parameter(np.zeros(k))
 
     def forward(self, tokens):
@@ -148,9 +148,11 @@ class PositionalEmbedding:
     def __init__(self, mode, embed_dim, grid, bands, rng):
         if mode not in PE_MODES:
             raise ValueError(f"unknown positional mode {mode!r}, expected one of {PE_MODES}")
+        embed_dim = _require_int("embed_dim", embed_dim, 1)
+        grid = _require_int("grid", grid, 1)
         self.mode = mode
         self.num_tokens = n = grid * grid
-        self.bands = bands
+        self.bands = bands = _require_int("bands", bands, 1)
         self.fixed = None
         self.spatial = None
         self.band_table = None

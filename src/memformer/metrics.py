@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _require_int
+
 __all__ = [
     "confusion_matrix",
     "overall_accuracy",
@@ -24,6 +26,7 @@ __all__ = [
 
 def confusion_matrix(y_true, y_pred, num_classes):
     """(C, C) count matrix: entry [i, j] counts true class i predicted as j."""
+    num_classes = _require_int("num_classes", num_classes, 1)
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
     if y_true.shape != y_pred.shape or y_true.ndim != 1:

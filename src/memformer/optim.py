@@ -25,7 +25,7 @@ class Adam:
     its gradient were zero, so decay still applies.
     """
 
-    def __init__(self, params, lr=1e-3, weight_decay=0.0):
+    def __init__(self, params, lr, weight_decay):
         self.lr = _require_float("learning rate", lr, np.inf)
         self.weight_decay = _require_float("weight decay", weight_decay, np.inf)
         self.params = dict(params)

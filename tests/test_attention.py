@@ -5,6 +5,8 @@ test body, independent of the kernel's graph machinery, and demand 1e-12
 absolute agreement.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -389,7 +391,7 @@ def test_update_memory_replay_oracle():
 
 def test_eval_forward_deterministic_and_frozen():
     rng = np.random.default_rng(8)
-    block = MemoryAttention(embed_dim=4, heads=2, capacity=3, rng=rng)
+    block = MemoryAttention(embed_dim=4, heads=2, capacity=3, rng=rng, dropout_rate=0.1)
     block.memory = rng.standard_normal((3, 4))
     before = block.memory.copy()
     z = ad.constant(rng.standard_normal((2, 5, 4)))
@@ -525,6 +527,24 @@ def test_standard_three_token_hand_oracle():
     np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("attention", ["memory", "standard"])
+@pytest.mark.parametrize("shape", [(5, 4), (1, 2, 5, 4)], ids=["rank2", "rank4"])
+def test_block_rank_check_is_attends_and_leaves_the_bank_unchanged(attention, shape):
+    rng = np.random.default_rng(19)
+    if attention == "memory":
+        block = MemoryAttention(embed_dim=4, heads=2, capacity=3, rng=rng, dropout_rate=0.0)
+        block.memory = rng.standard_normal((3, 4))
+        before = block.memory.tobytes()
+    else:
+        block = StandardAttention(embed_dim=4, heads=2, rng=rng, dropout_rate=0.0)
+    z = ad.constant(rng.standard_normal(shape))
+    with pytest.raises(ValueError, match=r"^attend needs rank-3 inputs, got shapes " + re.escape(str(shape))):
+        block.forward(z, train=True, rng=np.random.default_rng(0))
+    if attention == "memory":
+        # the failed train-mode forward raised before the bank update
+        assert block.memory.tobytes() == before
+
+
 def test_standard_has_no_memory_state():
-    block = StandardAttention(embed_dim=4, heads=2, rng=np.random.default_rng(18))
+    block = StandardAttention(embed_dim=4, heads=2, rng=np.random.default_rng(18), dropout_rate=0.1)
     assert not hasattr(block, "memory")

@@ -1,6 +1,6 @@
-"""One rule for every size, rate and fraction argument of data, embedding and
-attention: a float, a bool or (for rates and fractions) NaN raises a
-``ValueError`` that names the argument."""
+"""One rule for every size, rate and fraction argument of data, embedding,
+attention and metrics: a float, a bool, a size below its minimum or (for rates
+and fractions) NaN raises a ``ValueError`` that names the argument."""
 
 import math
 import re
@@ -11,7 +11,8 @@ import pytest
 from memformer import autodiff as ad
 from memformer.attention import MemoryAttention, StandardAttention, attend
 from memformer.data import LabelMap, extract_window, stratified_split, synth_scene
-from memformer.embedding import PatchProjector, sinusoid_encoding, tokenize_batch
+from memformer.embedding import PatchProjector, PositionalEmbedding, sinusoid_encoding, tokenize_batch
+from memformer.metrics import confusion_matrix
 
 
 def _rng():
@@ -31,6 +32,8 @@ def _attend(heads):
 # where -> (argument name, call with the argument set to a value, a valid
 # value); the bad float of a size is integral, so only its type is wrong
 _SIZES = {
+    "synth_scene-height": ("height", lambda v: synth_scene(v, 8, 4, 2), 8),
+    "synth_scene-width": ("width", lambda v: synth_scene(8, v, 4, 2), 8),
     "synth_scene-classes": ("classes", lambda v: synth_scene(8, 8, 4, v), 2),
     "synth_scene-bands": ("bands", lambda v: synth_scene(8, 8, v, 2), 4),
     "synth_scene-blob_count": ("blob_count", lambda v: synth_scene(8, 8, 4, 2, blob_count=v), 2),
@@ -39,12 +42,17 @@ _SIZES = {
     "PatchProjector-embed_dim": ("embed_dim", lambda v: PatchProjector(v, 2, 3, _rng()), 8),
     "PatchProjector-patch_side": ("patch_side", lambda v: PatchProjector(8, v, 3, _rng()), 2),
     "PatchProjector-bands": ("bands", lambda v: PatchProjector(8, 2, v, _rng()), 3),
+    "PositionalEmbedding-embed_dim": ("embed_dim", lambda v: PositionalEmbedding("sspe", v, 2, 3, _rng()), 4),
+    "PositionalEmbedding-grid": ("grid", lambda v: PositionalEmbedding("none", 4, v, 3, _rng()), 2),
+    "PositionalEmbedding-bands": ("bands", lambda v: PositionalEmbedding("sspe", 4, 2, v, _rng()), 3),
     "sinusoid_encoding-dim": ("dim", lambda v: sinusoid_encoding(0.5, v), 4),
     "attend-heads": ("heads", _attend, 2),
-    "StandardAttention-heads": ("heads", lambda v: StandardAttention(8, v, _rng()), 2),
-    "MemoryAttention-heads": ("heads", lambda v: MemoryAttention(8, v, 2, _rng()), 2),
-    "MemoryAttention-embed_dim": ("embed_dim", lambda v: MemoryAttention(v, 2, 2, _rng()), 8),
-    "MemoryAttention-capacity": ("capacity", lambda v: MemoryAttention(8, 2, v, _rng()), 2),
+    "StandardAttention-heads": ("heads", lambda v: StandardAttention(8, v, _rng(), 0.1), 2),
+    "StandardAttention-embed_dim": ("embed_dim", lambda v: StandardAttention(v, 2, _rng(), 0.1), 8),
+    "MemoryAttention-heads": ("heads", lambda v: MemoryAttention(8, v, 2, _rng(), 0.1), 2),
+    "MemoryAttention-embed_dim": ("embed_dim", lambda v: MemoryAttention(v, 2, 2, _rng(), 0.1), 8),
+    "MemoryAttention-capacity": ("capacity", lambda v: MemoryAttention(8, 2, v, _rng(), 0.1), 2),
+    "confusion_matrix-num_classes": ("num_classes", lambda v: confusion_matrix([0, 1], [1, 1], v), 2),
 }
 _RATES = {
     "synth_scene-noise_sigma": ("noise_sigma", lambda v: synth_scene(8, 8, 4, 2, noise_sigma=v), 0.05),
@@ -57,6 +65,10 @@ _CASES = [
     for table, bads in ((_SIZES, lambda good: (float(good), True)), (_RATES, lambda good: (True, math.nan)))
     for where, (name, call, good) in table.items()
     for bad in bads(good)
+] + [
+    # a zero the positional arithmetic would divide by or build an empty table from
+    pytest.param(*_SIZES[where], 0, id=f"{where}-0")
+    for where in ("PositionalEmbedding-embed_dim", "PositionalEmbedding-grid")
 ]
 
 

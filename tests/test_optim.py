@@ -61,7 +61,7 @@ def test_first_step_matches_hand_computation():
 
 def test_nonfinite_gradient_rejected_by_name():
     params = _params({"bad": [1.0]})
-    opt = Adam(params)
+    opt = Adam(params, lr=1e-3, weight_decay=0.0)
     params["bad"].grad = np.array([np.nan])
     with pytest.raises(ValueError, match="bad"):
         opt.step()
@@ -92,7 +92,7 @@ def test_rejected_step_changes_no_state():
 
 def test_zero_grad_clears_all():
     params = _params({"a": [1.0], "b": [2.0]})
-    opt = Adam(params)
+    opt = Adam(params, lr=1e-3, weight_decay=0.0)
     params["a"].grad = np.ones(1)
     params["b"].grad = np.ones(1)
     opt.zero_grad()
@@ -103,7 +103,7 @@ def test_reduces_a_quadratic():
     rng = np.random.default_rng(0)
     target = rng.standard_normal(6)
     w = ad.parameter(np.zeros(6))
-    opt = Adam({"w": w}, lr=0.05)
+    opt = Adam({"w": w}, lr=0.05, weight_decay=0.0)
     for _ in range(400):
         opt.zero_grad()
         diff = ad.sub(w, ad.constant(target))
@@ -114,9 +114,9 @@ def test_reduces_a_quadratic():
 
 def test_validates_hyperparameters():
     with pytest.raises(ValueError):
-        Adam(_params({"w": [1.0]}), lr=-1.0)
+        Adam(_params({"w": [1.0]}), lr=-1.0, weight_decay=0.0)
     with pytest.raises(ValueError):
-        Adam(_params({"w": [1.0]}), weight_decay=-0.1)
+        Adam(_params({"w": [1.0]}), lr=1e-3, weight_decay=-0.1)
 
 
 @pytest.mark.parametrize(
@@ -131,4 +131,4 @@ def test_validates_hyperparameters():
 def test_rejects_hyperparameters_that_poison_the_first_step(field, value, named):
     # NaN fails every comparison, so each check must be one that NaN cannot pass
     with pytest.raises(ValueError, match=named):
-        Adam(_params({"w": [1.0]}), **{field: value})
+        Adam(_params({"w": [1.0]}), **{"lr": 1e-3, "weight_decay": 0.0, field: value})

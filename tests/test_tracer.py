@@ -48,7 +48,7 @@ def test_attend_work_counts_the_bank_length():
     tracer = module.Tracer()
     batch, tokens, capacity, width = 2, 3, 4, 8
     rng = np.random.default_rng(0)
-    block = MemoryAttention(width, 2, capacity, rng)
+    block = MemoryAttention(width, 2, capacity, rng, dropout_rate=0.1)
     block.memory = rng.standard_normal((capacity, width))
     z = ad.constant(rng.standard_normal((batch, tokens, width)))
     try:

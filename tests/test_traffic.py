@@ -1,13 +1,15 @@
 """Every def under ``src/memformer/`` runs in some CLI subcommand or demo.
 
-The whole CLI pipeline on a 12x12 scene and the six demos run in process
-under ``sys.setprofile``, which notes each code object entered. A def that
+The whole CLI pipeline on a 12x12 scene, a second split with no validation
+pixels and a training on it, and the six demos run in process under
+``sys.setprofile``, which notes each code object entered. A def that
 none of them enters is code that only tests call; the ones that stay anyway
 are listed in ``ALLOWED`` with the reason. A def nested in a def that never
 runs (a ``grad_fn``) is covered by its parent's entry.
 """
 
 import ast
+import csv
 import runpy
 import sys
 from pathlib import Path
@@ -66,7 +68,7 @@ def _defs():
     return found
 
 
-def _cli():
+def _cli(capsys):
     Path("c.cfg").write_text(CONFIG)
     data = ["--cube", "s.hsc", "--labels", "s.hsl", "--manifest", "m.csv"]
     for argv in (
@@ -82,9 +84,19 @@ def _cli():
         ["params", "--config", "c.cfg"],
     ):
         assert main(argv) == 0, argv
+    # an empty validation split: the last epoch is kept and both val columns are NaN
+    assert main(["split", "--labels", "s.hsl", "--train-frac", "0.4", "--val-frac", "0", "--test-frac", "0.4",
+                 "--out", "m0.csv"]) == 0
+    capsys.readouterr()
+    assert main(["train", "--cube", "s.hsc", "--labels", "s.hsl", "--manifest", "m0.csv", "--config", "c.cfg",
+                 "--checkpoint-out", "m0.mfck", "--log-out", "log0.csv"]) == 0
+    assert "best epoch 2 " in capsys.readouterr().out
+    with open("log0.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["epoch"], r["val_loss"], r["val_acc"]) for r in rows] == [("1", "nan", "nan"), ("2", "nan", "nan")]
 
 
-def test_every_def_runs_in_the_cli_or_a_demo(tmp_path, monkeypatch):
+def test_every_def_runs_in_the_cli_or_a_demo(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     codes = set()
 
@@ -94,7 +106,7 @@ def test_every_def_runs_in_the_cli_or_a_demo(tmp_path, monkeypatch):
 
     sys.setprofile(note)
     try:
-        _cli()
+        _cli(capsys)
         for demo in DEMOS:
             runpy.run_path(str(demo), run_name="__main__")
     finally:
