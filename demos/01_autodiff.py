@@ -27,14 +27,24 @@ print(f"dL/dw has shape {w.grad.shape}, dL/db has shape {b.grad.shape}")
 print("\n== checking against finite differences ==")
 
 
-def loss_fn(_):
+def loss_value():
     h = ad.relu(ad.affine(x, w, b))
     n = ad.layer_norm(h, ad.parameter(np.ones(4)), ad.parameter(np.zeros(4)))
-    return ad.cross_entropy(n, y)
+    return float(ad.cross_entropy(n, y).data)
 
 
-fd = ad.finite_diff_grad(loss_fn, w)
-err = np.abs(fd.data - w.grad).max()
+# central difference, one coordinate of w at a time: (L(w + h) - L(w - h)) / 2h
+step = 1e-5
+fd = np.zeros_like(w.data)
+for i in np.ndindex(w.shape):
+    keep = w.data[i]
+    w.data[i] = keep + step
+    f_plus = loss_value()
+    w.data[i] = keep - step
+    f_minus = loss_value()
+    w.data[i] = keep
+    fd[i] = (f_plus - f_minus) / (2.0 * step)
+err = np.abs(fd - w.grad).max()
 print(f"max |autodiff - finite difference| over dL/dw = {err:.2e}")
 assert err < 1e-8
 

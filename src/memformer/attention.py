@@ -110,19 +110,14 @@ def attend(q, k_mem, v_mem, heads):
         # the gradient GEMMs read the output gradient as a contiguous
         # (B, h, T, d) buffer, as the chain's weighted-sum matmul did
         g_out = np.ascontiguousarray(g.reshape(b, t, heads, d).transpose(0, 2, 1, 3))
-        g_q = g_k = g_v = None
-        if v_mem.requires_grad:
-            g_v = ad._unbroadcast(_merge_heads_matmul(scores, g_out), bank_shape)
-        if q.requires_grad or k_mem.requires_grad:
-            # empty_like keeps the scores' slot-major memory order
-            g_s = np.matmul(vh, np.swapaxes(g_out, -1, -2), out=np.empty_like(scores))
-            g_s -= ad._col_sum(g_s * scores)
-            g_s *= scores
-            g_s *= scale
-            if q.requires_grad:
-                g_q = _merge_heads_matmul(np.swapaxes(g_s, -1, -2), kh)
-            if k_mem.requires_grad:
-                g_k = ad._unbroadcast(_merge_heads_matmul(g_s, qh), bank_shape)
+        g_v = ad._unbroadcast(_merge_heads_matmul(scores, g_out), bank_shape)
+        # empty_like keeps the scores' slot-major memory order
+        g_s = np.matmul(vh, np.swapaxes(g_out, -1, -2), out=np.empty_like(scores))
+        g_s -= ad._col_sum(g_s * scores)
+        g_s *= scores
+        g_s *= scale
+        g_q = _merge_heads_matmul(np.swapaxes(g_s, -1, -2), kh)
+        g_k = ad._unbroadcast(_merge_heads_matmul(g_s, qh), bank_shape)
         return g_q, g_k, g_v
 
     return ad._node(out, (q, k_mem, v_mem), grad_fn, "attend"), ad.constant(weights)

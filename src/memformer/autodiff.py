@@ -1,13 +1,12 @@
 """Minimal dense-tensor kernel with reverse-mode differentiation.
 
-Everything is float64: central finite differences (the gradient oracle used
-throughout the test suite) are meaningless in float32. The compute graph is
-the web of parent links recorded on each result tensor; ``Tensor.backward``
-replays it once, in reverse topological order, and consumes it as it goes:
-once a node's ``grad_fn`` has handed its parents their gradients, the node
-drops its own gradient and its ``grad_fn``, and with it every array the
-closure saved (an FFN hidden layer, LayerNorm's ``xhat``, attention
-weights). Only leaves keep their gradients. Each node keeps its values and
+Everything is float64, so a central finite difference can check any
+gradient. The compute graph is the web of parent links recorded on each
+result tensor; ``Tensor.backward`` replays it once, in reverse topological
+order, and consumes it as it goes: once a node's ``grad_fn`` has handed its
+parents their gradients, the node drops its own gradient and its
+``grad_fn``, and with it every array the closure saved (an FFN hidden layer,
+LayerNorm's ``xhat``, attention weights). Only leaves keep their gradients. Each node keeps its values and
 its parent links, so the consumed graph is freed as a whole when the last
 reference to its result goes. A graph can be backpropagated once: a second
 ``backward`` that reaches a consumed node raises ``ValueError``.
@@ -34,11 +33,14 @@ public spelling of the formula ``_layer_norm`` holds; demo 01 calls it and
 the benchmark tracer wraps it by name. All three are the oracle chain the
 tests hold the fused nodes to.
 
-A node's ``grad_fn`` returns one gradient per parent, or ``None`` for a
-parent that needs none. ``backward`` assigns a parent's first gradient as
-returned and adds later ones out of place, so a returned array may alias
-another node's gradient (``add`` hands the same one to both parents) and no
-gradient array is ever written to after it is handed over.
+A node's ``grad_fn`` returns one entry per parent, an array for every parent
+that requires a gradient. Only ``_matmul_grads`` returns ``None``, for a
+constant operand; the other grad_fns compute all their gradients, and
+``backward`` skips a parent only because it requires none. It assigns a
+parent's first gradient as returned and adds later ones out of place, so a
+returned array may alias another node's gradient (``add`` hands the same one
+to both parents) and no gradient array is ever written to after it is
+handed over.
 
 ``no_grad()`` switches recording off for a block: every primitive result
 made inside it is a constant with no parents and no ``grad_fn``, so each
@@ -98,7 +100,6 @@ __all__ = [
     "narrow",
     "tensor_sum",
     "tensor_mean",
-    "finite_diff_grad",
 ]
 
 # added to the variance in layer_norm before the square root
@@ -157,10 +158,8 @@ class Tensor:
             node = order.pop()
             if node._grad_fn is None:  # a leaf
                 continue
-            if node.grad is not None:
-                for parent, g in zip(node._parents, node._grad_fn(node.grad)):
-                    if g is None or not parent.requires_grad:
-                        continue
+            for parent, g in zip(node._parents, node._grad_fn(node.grad)):
+                if parent.requires_grad:
                     parent.grad = g if parent.grad is None else parent.grad + g
             node.grad = None
             node._grad_fn = None
@@ -371,14 +370,11 @@ def _mlp(x, w1, b1, w2, b2):
     out += b2.data
 
     def grad_fn(g):
-        gw2 = _unbroadcast(np.swapaxes(h, -1, -2) @ g, w2.data.shape) if w2.requires_grad else None
-        gx = gw1 = gb1 = None
-        if x.requires_grad or w1.requires_grad or b1.requires_grad:
-            gh = g @ np.swapaxes(w2.data, -1, -2)
-            gh *= h > 0.0
-            gx, gw1 = _matmul_grads(gh, x, w1)
-            gb1 = _unbroadcast(gh, b1.data.shape)
-        return gx, gw1, gb1, gw2, _unbroadcast(g, b2.data.shape)
+        gw2 = _unbroadcast(np.swapaxes(h, -1, -2) @ g, w2.data.shape)
+        gh = g @ np.swapaxes(w2.data, -1, -2)
+        gh *= h > 0.0
+        gx, gw1 = _matmul_grads(gh, x, w1)
+        return gx, gw1, _unbroadcast(gh, b1.data.shape), gw2, _unbroadcast(g, b2.data.shape)
 
     return _node(out, (x, w1, b1, w2, b2), grad_fn, "mlp")
 
@@ -620,37 +616,3 @@ def tensor_mean(x, axis=None):
 
     return _node(x.data.mean(axis=axis), (x,), grad_fn, "mean")
 
-
-# -- gradient oracle ----------------------------------------------------------
-
-
-def finite_diff_grad(f, x):
-    """Central-difference gradient of a scalar function at ``x``.
-
-    ``f`` is called with ``x`` after nudging ``x.data`` in place, so it must
-    be a pure function of the tensor's current values. Test-only oracle.
-    """
-    step = 1e-5
-    base = x.data.reshape(-1)
-    grad = np.zeros_like(x.data)
-    flat = grad.reshape(-1)
-    for i in range(base.size):
-        keep = base[i]
-        base[i] = keep + step
-        f_plus = _scalar_value(f(x))
-        base[i] = keep - step
-        f_minus = _scalar_value(f(x))
-        base[i] = keep
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise ValueError(f"finite_diff_grad: non-finite evaluation at coordinate {i}")
-        flat[i] = (f_plus - f_minus) / (2.0 * step)
-    return Tensor(grad)
-
-
-def _scalar_value(y):
-    if isinstance(y, Tensor):
-        y = y.data
-    y = np.asarray(y, dtype=np.float64)
-    if y.size != 1:
-        raise ValueError(f"expected a scalar evaluation, got shape {y.shape}")
-    return float(y.reshape(()))

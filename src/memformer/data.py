@@ -216,8 +216,7 @@ def synth_scene(height, width, bands, classes, noise_sigma=0.05, blob_count=3, s
     labels = seed_class[np.argmin(d2, axis=-1)].astype(np.uint16)
 
     values = signatures[labels - 1].astype(np.float32)
-    if noise_sigma > 0:
-        values = values + noise_sigma * rng.standard_normal(values.shape)
+    values = values + noise_sigma * rng.standard_normal(values.shape)
     return HSICube(values), LabelMap(labels)
 
 

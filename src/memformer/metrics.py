@@ -27,13 +27,16 @@ __all__ = [
 def confusion_matrix(y_true, y_pred, num_classes):
     """(C, C) count matrix: entry [i, j] counts true class i predicted as j."""
     num_classes = _require_int("num_classes", num_classes, 1)
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
+    y_true = np.asarray(y_true)
+    y_pred = np.asarray(y_pred)
     if y_true.shape != y_pred.shape or y_true.ndim != 1:
         raise ValueError(f"label vectors must share one shape, got {y_true.shape}, {y_pred.shape}")
     if len(y_true) == 0:
         raise ValueError("cannot build a confusion matrix from zero samples")
     for name, arr in (("true", y_true), ("predicted", y_pred)):
+        # a float or bool vector is refused, not cast: a cast truncates 1.9 to 1
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"{name} labels must be integers, got dtype {arr.dtype}")
         if arr.min() < 0 or arr.max() >= num_classes:
             raise ValueError(f"{name} labels outside [0, {num_classes})")
     out = np.zeros((num_classes, num_classes), dtype=np.int64)
@@ -100,9 +103,9 @@ class EvalReport:
     kappa: float
     per_class: np.ndarray
     samples: int
-    trainable_params: int = 0
-    non_trainable_params: int = 0
-    seconds: float = 0.0
+    trainable_params: int
+    non_trainable_params: int
+    seconds: float
 
     @classmethod
     def from_confusion(cls, confusion, **meta):
@@ -127,10 +130,8 @@ class EvalReport:
         for idx, acc in enumerate(self.per_class):
             shown = "n/a" if np.isnan(acc) else f"{acc:.4f}"
             lines.append(f"class {idx + 1} accuracy: {shown}")
-        if self.trainable_params:
-            lines.append(f"trainable parameters: {self.trainable_params}")
-            lines.append(f"non-trainable parameters: {self.non_trainable_params}")
-        if self.seconds:
-            # wall time, the one line that differs between identical runs
-            lines.append(f"evaluated in {self.seconds:.2f}s")
+        lines.append(f"trainable parameters: {self.trainable_params}")
+        lines.append(f"non-trainable parameters: {self.non_trainable_params}")
+        # wall time, the one line that differs between identical runs
+        lines.append(f"evaluated in {self.seconds:.2f}s")
         return "\n".join(lines)

@@ -35,6 +35,7 @@ from memformer.metrics import (
     overall_accuracy,
 )
 from memformer.model import MemFormer, ModelConfig, load_checkpoint, save_checkpoint
+from oracles import finite_diff_grad, layer_norm, softmax_rows
 
 
 @contextmanager
@@ -96,7 +97,7 @@ def test_criterion_1_gradient_fidelity():
         worst = 0.0
         worst_name = None
         for name, p in params.items():
-            fd = ad.finite_diff_grad(lambda _: loss(), p).data
+            fd = finite_diff_grad(lambda _: loss(), p).data
             rel = np.abs(grads[name] - fd) / np.maximum(np.abs(fd), 1e-6)
             peak = float(rel.max())
             if peak > worst:
@@ -104,17 +105,6 @@ def test_criterion_1_gradient_fidelity():
         elapsed = time.perf_counter() - started
         assert worst <= 1e-4, f"worst relative error {worst:.3e} at {worst_name}"
         assert elapsed < 60.0, f"gradient check took {elapsed:.1f}s"
-
-
-def _layer_norm_ref(x, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps)
-
-
-def _softmax_rows_ref(s):
-    shifted = np.exp(s - s.max(axis=-1, keepdims=True))
-    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
 def test_criterion_2_attention_oracle():
@@ -132,15 +122,15 @@ def test_criterion_2_attention_oracle():
         wv = module.w_v.data
         q = z @ wq
         # pass 1 on the pre-update bank
-        w1 = _softmax_rows_ref(q @ (bank @ wk).T / np.sqrt(2.0))
+        w1 = softmax_rows(q @ (bank @ wk).T / np.sqrt(2.0))
         a1 = w1 @ (bank @ wv)
         # FIFO: drop the oldest row, append the batch-and-token mean response
         m_new = a1.mean(axis=(0, 1))
         bank2 = np.stack([bank[1], m_new])
         # pass 2 replays the same queries against the updated bank
-        w2 = _softmax_rows_ref(q @ (bank2 @ wk).T / np.sqrt(2.0))
+        w2 = softmax_rows(q @ (bank2 @ wk).T / np.sqrt(2.0))
         a2 = w2 @ (bank2 @ wv)
-        expected = _layer_norm_ref(q + a2)
+        expected = layer_norm(q + a2)
         assert np.abs(out.data - expected).max() <= 1e-12
         assert np.abs(module.memory - bank2).max() <= 1e-12
 
@@ -149,7 +139,7 @@ def test_criterion_2_attention_oracle():
         k3 = ad.constant(rng.standard_normal((1, 3, 2)))
         v3 = ad.constant(rng.standard_normal((1, 3, 2)))
         got = attend(q3, k3, v3, heads=1)[0].data
-        naive = _softmax_rows_ref(q3.data @ k3.data.transpose(0, 2, 1) / np.sqrt(2.0)) @ v3.data
+        naive = softmax_rows(q3.data @ k3.data.transpose(0, 2, 1) / np.sqrt(2.0)) @ v3.data
         assert np.abs(got - naive).max() <= 1e-12
 
 

@@ -19,17 +19,7 @@ from memformer.attention import (
     residual_norm,
     update_memory,
 )
-
-
-def _softmax(x):
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _layer_norm(x, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps)
+from oracles import finite_diff_grad, layer_norm, softmax_rows
 
 
 # -- project_memory ---------------------------------------------------------
@@ -171,7 +161,7 @@ def test_attend_gradients_match_finite_difference(batch, bank_batch, heads):
 
     loss().backward()
     for name, x in (("q", q), ("k_mem", k_m), ("v_mem", v_m)):
-        want = ad.finite_diff_grad(lambda _x: loss(), x).data
+        want = finite_diff_grad(lambda _x: loss(), x).data
         np.testing.assert_allclose(x.grad, want, rtol=1e-6, atol=1e-9, err_msg=name)
 
 
@@ -253,7 +243,7 @@ def test_residual_norm_identity_cases():
     gain = ad.constant(np.ones(8))
     bias = ad.constant(np.zeros(8))
     out = residual_norm(q, zero, gain, bias)
-    np.testing.assert_allclose(out.data, _layer_norm(q.data), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.data, layer_norm(q.data), rtol=0, atol=1e-12)
     # constant rows normalize to zero before the affine
     const = ad.constant(np.full((1, 2, 8), 3.25))
     zero2 = ad.constant(np.zeros((1, 2, 8)))
@@ -338,7 +328,7 @@ def test_residual_norm_gradients_match_finite_difference():
 
     loss().backward()
     for name, t in (("x", x), ("y", y), ("gain", gain), ("bias", bias)):
-        want = ad.finite_diff_grad(lambda _t: loss(), t).data
+        want = finite_diff_grad(lambda _t: loss(), t).data
         np.testing.assert_allclose(t.grad, want, rtol=1e-5, atol=1e-8, err_msg=name)
 
 
@@ -416,11 +406,11 @@ def test_train_forward_two_pass_hand_oracle():
 
     # replay the block step by step in plain numpy
     q = z @ w_q
-    a1 = _softmax(q @ (m0 @ w_k).T / np.sqrt(2.0)) @ (m0 @ w_v)
+    a1 = softmax_rows(q @ (m0 @ w_k).T / np.sqrt(2.0)) @ (m0 @ w_v)
     m_new = a1.mean(axis=(0, 1))
     m1 = np.stack([m0[1], m_new])
-    a2 = _softmax(q @ (m1 @ w_k).T / np.sqrt(2.0)) @ (m1 @ w_v)
-    want = _layer_norm(q + a2)
+    a2 = softmax_rows(q @ (m1 @ w_k).T / np.sqrt(2.0)) @ (m1 @ w_v)
+    want = layer_norm(q + a2)
 
     out, _ = block.forward(ad.constant(z), train=True)
     np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
@@ -436,7 +426,7 @@ def test_train_capacity_one_second_pass_uses_fresh_entry():
     # with a single entry the second attention output is exactly m_new @ W_V
     q = z.data @ block.w_q.data
     fresh = block.memory[0] @ block.w_v.data
-    want = _layer_norm(q + fresh)
+    want = layer_norm(q + fresh)
     np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
 
 
@@ -474,7 +464,7 @@ def test_memory_block_gradients_match_finite_difference():
 
     loss().backward()
     for name, p in block.parameters("blk").items():
-        want = ad.finite_diff_grad(lambda _x: loss(), p).data
+        want = finite_diff_grad(lambda _x: loss(), p).data
         np.testing.assert_allclose(p.grad, want, rtol=1e-4, atol=1e-7, err_msg=name)
 
 
@@ -500,7 +490,7 @@ def test_standard_single_token():
     np.testing.assert_array_equal(w.data, np.ones((2, 2, 1, 1)))
     q = z.data @ block.w_q.data
     v = z.data @ block.w_v.data
-    np.testing.assert_allclose(out.data, _layer_norm(q + v), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.data, layer_norm(q + v), rtol=0, atol=1e-12)
 
 
 def test_standard_identical_tokens_uniform_weights():
@@ -522,7 +512,7 @@ def test_standard_three_token_hand_oracle():
     block.w_v.data[:] = w_v
     z = np.array([[[0.5, -0.2], [1.1, 0.8], [-0.9, 0.4]]])
     q, k, v = z @ w_q, z @ w_k, z @ w_v
-    want = _layer_norm(q + _softmax(q @ k.transpose(0, 2, 1) / np.sqrt(2.0)) @ v)
+    want = layer_norm(q + softmax_rows(q @ k.transpose(0, 2, 1) / np.sqrt(2.0)) @ v)
     out, _ = block.forward(ad.constant(z))
     np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
 

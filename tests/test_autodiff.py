@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from memformer import autodiff as ad
+from memformer.attention import attend
+from oracles import finite_diff_grad
 
 
 def _check_grads(build, tensors, rtol=1e-5, atol=1e-8):
@@ -21,7 +23,7 @@ def _check_grads(build, tensors, rtol=1e-5, atol=1e-8):
     loss = build(*tensors)
     loss.backward()
     for t in tensors:
-        want = ad.finite_diff_grad(lambda _t, i=tensors.index(t): build(*tensors), t).data
+        want = finite_diff_grad(lambda _t, i=tensors.index(t): build(*tensors), t).data
         got = np.zeros_like(t.data) if t.grad is None else t.grad
         np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
 
@@ -331,6 +333,22 @@ def test_constants_never_accumulate_grad():
     g_x, g_c = m._grad_fn(np.ones((1, 2)))
     assert g_c is None
     np.testing.assert_array_equal(g_x, [[2.0, 2.0, 2.0]])
+    # attend and _mlp compute every gradient, and backward hands a constant
+    # none; the other parents get the bits they get when all are parameters
+    rng = np.random.default_rng(33)
+    q, bank = rng.standard_normal((2, 3, 4)), rng.standard_normal((1, 5, 4))
+    mlp = _mlp_arrays(rng, (2, 3, 4), 6)
+    cases = [
+        (lambda q, k, v: attend(q, k, v, 2)[0], [q, bank, bank], (False, True, True)),  # constant q
+        (lambda q, k, v: attend(q, k, v, 2)[0], [q, bank, bank], (True, False, False)),  # constant bank
+        (ad._mlp, mlp, (False, True, True, True, True)),  # constant x
+    ]
+    probe = rng.standard_normal((2, 3, 4))
+    for fn, arrays, trainable in cases:
+        _, got = _values_and_grads(fn, arrays, trainable, probe)
+        _, want = _values_and_grads(fn, arrays, (True,) * len(arrays), probe)
+        for g, w, t in zip(got[1:], want[1:], trainable):
+            assert (g.shape == w.shape and np.array_equal(g, w)) if t else g is None
 
 
 def test_deep_chain_no_recursion_limit():

@@ -13,6 +13,7 @@ from memformer.embedding import (
     sspe_spatial,
     tokenize_batch,
 )
+from oracles import finite_diff_grad
 
 
 def _spectral(profiles, embed_dim):
@@ -116,7 +117,7 @@ def test_project_gradients_match_finite_difference():
     out = loss()
     out.backward()
     for t in (proj.kernel, proj.bias):
-        want = ad.finite_diff_grad(lambda _x: loss(), t).data
+        want = finite_diff_grad(lambda _x: loss(), t).data
         np.testing.assert_allclose(t.grad, want, rtol=1e-4, atol=1e-6)
     assert np.abs(proj.kernel.grad).max() > 0
 
@@ -313,7 +314,7 @@ def test_mode_sspe_gradients_reach_every_parameter():
     out = loss()
     out.backward()
     for name, p in pe.parameters().items():
-        want = ad.finite_diff_grad(lambda _x: loss(), p).data
+        want = finite_diff_grad(lambda _x: loss(), p).data
         np.testing.assert_allclose(p.grad, want, rtol=1e-4, atol=1e-6, err_msg=name)
 
 

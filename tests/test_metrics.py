@@ -102,8 +102,17 @@ def test_confusion_matrix_validation():
         confusion_matrix([0, 1], [0], 2)
     with pytest.raises(ValueError):
         confusion_matrix([0, 2], [0, 1], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero samples"):
         confusion_matrix([], [], 2)
+
+
+@pytest.mark.parametrize("labels", [[0.7, 1.9], [True, False]], ids=["fractional", "bool"])
+def test_confusion_matrix_rejects_labels_that_are_not_integers(labels):
+    # a cast to int64 used to count 0.7 as class 0 and True as class 1
+    with pytest.raises(ValueError, match="true labels must be integers"):
+        confusion_matrix(labels, [1, 0], 2)
+    with pytest.raises(ValueError, match="predicted labels must be integers"):
+        confusion_matrix([1, 0], labels, 2)
 
 
 def test_per_class_handles_missing_class():
@@ -117,7 +126,7 @@ def test_per_class_handles_missing_class():
 
 def test_eval_report_from_confusion():
     c = np.array([[40, 10], [20, 30]])
-    report = EvalReport.from_confusion(c, trainable_params=123, seconds=1.5)
+    report = EvalReport.from_confusion(c, trainable_params=123, non_trainable_params=0, seconds=1.5)
     assert report.oa == 0.7
     assert report.samples == 100
     text = report.summary()

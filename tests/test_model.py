@@ -18,6 +18,7 @@ from memformer.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from oracles import finite_diff_grad
 
 
 def _tiny_config(**overrides):
@@ -330,7 +331,7 @@ def test_spot_gradients_match_finite_difference():
     params = model.parameters()
     for name in ("cls", "layer0.attn.w_k", "layer0.ffn_w2", "classifier.weight"):
         p = params[name]
-        want = ad.finite_diff_grad(lambda _x: loss(), p).data
+        want = finite_diff_grad(lambda _x: loss(), p).data
         np.testing.assert_allclose(p.grad, want, rtol=1e-4, atol=1e-7, err_msg=name)
 
 
