@@ -49,7 +49,8 @@ the same as with recording on. Leaves are unaffected: ``parameter`` and
 ``glorot_uniform`` still make trainable tensors inside the block. Use it
 around forwards whose results are only read, never backpropagated. The
 switch is a ``contextvars.ContextVar``, so a block covers only the thread
-that entered it; a worker thread enters its own.
+that entered it; a worker thread enters its own, as the one that encodes
+half of each read-only ``MemFormer.forward`` batch does.
 
 ``harness.train`` runs its steps inside a step pool (``_step_pool``): the
 float64 arrays that nodes' outputs were written into, held in a
@@ -76,6 +77,8 @@ import math
 import sys
 
 import numpy as np
+
+from ._checks import _require_int_array
 
 __all__ = [
     "Tensor",
@@ -227,7 +230,8 @@ _recording = contextvars.ContextVar("memformer_autodiff_recording", default=True
 
 @contextlib.contextmanager
 def no_grad():
-    """Record no graph inside the block, in the calling thread only; the
+    """Record no graph inside the block, in the calling thread only: a thread
+    the block starts or hands work to records unless it enters its own. The
     previous state returns on exit, also when the block raises, so blocks
     nest."""
     token = _recording.set(False)
@@ -514,12 +518,10 @@ def cross_entropy(logits, labels):
     x = logits.data
     if x.ndim != 2:
         raise ValueError(f"cross_entropy expects (batch, classes) logits, got {x.shape}")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _require_int_array("labels", labels, 0, x.shape[1] - 1)
     batch = x.shape[0]
     if labels.shape != (batch,):
         raise ValueError(f"labels must have shape ({batch},), got {labels.shape}")
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= x.shape[1]:
-        raise ValueError("labels out of range for the logit width")
     nll, lse = _nll(x, labels)
     out = nll.mean()
 

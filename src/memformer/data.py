@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._checks import _I64_MAX, _require_float, _require_int
+from ._checks import _I64_MAX, _I64_MIN, _require_float, _require_int, _require_int_array
 
 __all__ = [
     "FormatError",
@@ -243,7 +243,9 @@ def extract_window(cube, row, col, size):
             f"window size {size} exceeds twice the smaller scene extent "
             f"({cube.height}x{cube.width})"
         )
-    rows, cols = np.broadcast_arrays(row, col)
+    rows, cols = np.broadcast_arrays(
+        _require_int_array("row", row, _I64_MIN, _I64_MAX), _require_int_array("col", col, _I64_MIN, _I64_MAX)
+    )
     outside = (rows < 0) | (rows >= cube.height) | (cols < 0) | (cols >= cube.width)
     if outside.any():
         row, col = rows[outside][0], cols[outside][0]
@@ -281,7 +283,7 @@ class SplitManifest:
 
 
 def _as_triples(arr, name):
-    arr = np.asarray(arr, dtype=np.int64).reshape(-1, 3)
+    arr = _require_int_array(f"{name} split", arr, _I64_MIN, _I64_MAX).reshape(-1, 3)
     if len(arr) and (arr[:, :2] < 0).any():
         raise ValueError(f"{name} split contains a negative row or column")
     if len(arr) and (arr[:, 2] < 1).any():

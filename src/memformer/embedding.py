@@ -50,6 +50,8 @@ def tokenize_batch(windows, patch_side):
     if windows.ndim != 4 or windows.shape[1] != windows.shape[2]:
         raise ValueError(f"expected (B, W_s, W_s, S) windows, got {windows.shape}")
     b, side = windows.shape[0], windows.shape[1]
+    if b == 0:
+        raise ValueError("the batch holds no windows")
     w = _require_int("patch_side", patch_side, 1)
     if side % w != 0:
         raise ValueError(f"patch side {w} must divide the window side {side}")

@@ -12,6 +12,9 @@ to the calling thread. The arrays a step's forward writes its activations
 into stay pooled until ``train`` returns or raises. After each step
 ``train`` drops the graph, and the next step's forward refills those arrays,
 so two steps' graphs are never alive at once. Evaluation never touches it.
+Evaluation and the per-epoch accuracy passes run their forwards under
+``autodiff.no_grad``, where ``MemFormer.forward`` encodes each batch's two
+halves on two threads; the logits are bitwise those of one thread.
 
 The ablation drivers retrain fresh models that differ in exactly one config
 field and emit one row per variant: metrics, census, the split-manifest

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _require_int
+from ._checks import _require_int, _require_int_array
 
 __all__ = [
     "confusion_matrix",
@@ -27,18 +27,12 @@ __all__ = [
 def confusion_matrix(y_true, y_pred, num_classes):
     """(C, C) count matrix: entry [i, j] counts true class i predicted as j."""
     num_classes = _require_int("num_classes", num_classes, 1)
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
+    y_true = _require_int_array("true labels", y_true, 0, num_classes - 1)
+    y_pred = _require_int_array("predicted labels", y_pred, 0, num_classes - 1)
     if y_true.shape != y_pred.shape or y_true.ndim != 1:
         raise ValueError(f"label vectors must share one shape, got {y_true.shape}, {y_pred.shape}")
     if len(y_true) == 0:
         raise ValueError("cannot build a confusion matrix from zero samples")
-    for name, arr in (("true", y_true), ("predicted", y_pred)):
-        # a float or bool vector is refused, not cast: a cast truncates 1.9 to 1
-        if arr.dtype.kind not in "iu":
-            raise ValueError(f"{name} labels must be integers, got dtype {arr.dtype}")
-        if arr.min() < 0 or arr.max() >= num_classes:
-            raise ValueError(f"{name} labels outside [0, {num_classes})")
     out = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(out, (y_true, y_pred), 1)
     return out

@@ -1,6 +1,8 @@
 """One rule for every size, rate and fraction argument of data, embedding,
 attention and metrics: a float, a bool, a size below its minimum or (for rates
-and fractions) NaN raises a ``ValueError`` that names the argument."""
+and fractions) NaN raises a ``ValueError`` that names the argument. One rule
+for every integer array (labels, manifest triples, window centres): a float
+or bool array is refused by name, not cast."""
 
 import math
 import re
@@ -10,7 +12,7 @@ import pytest
 
 from memformer import autodiff as ad
 from memformer.attention import MemoryAttention, StandardAttention, attend
-from memformer.data import LabelMap, extract_window, stratified_split, synth_scene
+from memformer.data import LabelMap, SplitManifest, extract_window, stratified_split, synth_scene
 from memformer.embedding import PatchProjector, PositionalEmbedding, sinusoid_encoding, tokenize_batch
 from memformer.metrics import confusion_matrix
 
@@ -76,4 +78,25 @@ _CASES = [
 def test_a_size_or_rate_of_the_wrong_kind_raises_naming_it(name, call, good, bad):
     call(good)
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
+        call(bad)
+
+
+def _window_at_row(row):
+    return extract_window(synth_scene(8, 8, 4, 2)[0], row, 2, 3)
+
+
+# where -> (argument name, call with the argument set to a value, a valid
+# value, a value of the wrong dtype that a cast to int64 would truncate)
+_INT_ARRAYS = {
+    "cross_entropy-labels": ("labels", lambda v: ad.cross_entropy(np.zeros((2, 3)), v), [0, 2], [0.9, 2.7]),
+    "SplitManifest-triple": ("train split", lambda v: SplitManifest(v, [], []), [1, 2, 1], [1.5, 2.2, 1.9]),
+    "extract_window-bool-centre": ("row", _window_at_row, 1, True),
+    "extract_window-float-centre": ("row", _window_at_row, 1, 1.5),
+}
+
+
+@pytest.mark.parametrize("name, call, good, bad", list(_INT_ARRAYS.values()), ids=list(_INT_ARRAYS))
+def test_an_integer_array_of_the_wrong_dtype_raises_naming_it(name, call, good, bad):
+    call(good)
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be integers, got dtype"):
         call(bad)

@@ -4,7 +4,9 @@ import contextlib
 import csv
 import math
 import re
+import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -581,6 +583,143 @@ def test_read_only_forwards_record_no_graph(scene, keep_forwards, attention):
         reference = MemFormer.forward(model, batch, train=False)
         assert reference.requires_grad
         np.testing.assert_array_equal(out.data, reference.data)
+
+
+def _seeded_model(**overrides):
+    model = MemFormer(tiny_model_config(**overrides))
+    rng = np.random.default_rng(12)
+    for name, bank in model.buffers().items():
+        model.set_buffer(name, 0.5 * rng.standard_normal(bank.shape))
+    return model
+
+
+@pytest.mark.parametrize("attention", ["memory", "standard"])
+@pytest.mark.parametrize("pe_mode", ["none", "learnable", "sinusoidal1d", "sspe"])
+def test_a_read_only_forward_splits_its_encoder_rows_and_keeps_every_logit_bit(
+    scene, monkeypatch, attention, pe_mode
+):
+    cube, _, manifest = scene
+    model = _seeded_model(attention=attention, pe_mode=pe_mode, dropout=0.3, layers=2)
+    rng_before = model.dropout_rng.bit_generator.state
+    banks_before = {name: bank.copy() for name, bank in model.buffers().items()}
+    caller = threading.get_ident()
+    encoded = []  # (on the calling thread, windows) per encoder call
+    recording = set()  # the autodiff recording switch seen by each encoder call
+    tokenize = model_module.tokenize_batch
+
+    def note_thread(windows, patch_side):
+        encoded.append((threading.get_ident() == caller, len(windows)))
+        # the worker enters no_grad itself: its thread does not inherit the caller's
+        recording.add(ad._recording.get())
+        return tokenize(windows, patch_side)
+
+    monkeypatch.setattr(model_module, "tokenize_batch", note_thread)
+    # rows [0, ceil(B/2)) on the calling thread, the rest on the worker,
+    # each in passes of at most 16 rows
+    passes = {
+        2: [(True, 1), (False, 1)],
+        3: [(True, 2), (False, 1)],
+        7: [(True, 4), (False, 3)],
+        40: [(True, 16), (True, 4), (False, 16), (False, 4)],
+    }
+    for b, want in passes.items():
+        windows, _ = extract_samples(cube, manifest.test[:b], model.config.window)
+        encoded.clear()
+        recording.clear()
+        reference = model.forward(windows, train=False)
+        assert reference.requires_grad and encoded == [(True, b)] and recording == {True}
+        encoded.clear()
+        recording.clear()
+        with ad.no_grad():
+            out = model.forward(windows)
+        assert sorted(encoded, key=lambda e: (not e[0], -e[1])) == want and recording == {False}
+        assert out.data.tobytes() == reference.data.tobytes()
+    assert model.dropout_rng.bit_generator.state == rng_before
+    for name, bank in model.buffers().items():
+        np.testing.assert_array_equal(bank, banks_before[name])
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_an_error_in_either_half_reaches_the_caller_once_both_halves_finish(scene, monkeypatch, failing):
+    cube, _, manifest = scene
+    model = _seeded_model(layers=2)
+    windows, _ = extract_samples(cube, manifest.test[:7], model.config.window)
+    with ad.no_grad():
+        reference = model.forward(windows)
+    caller = threading.get_ident()
+    planted = ValueError("planted in one half")
+    finished = []
+    tokenize = model_module.tokenize_batch
+
+    def half():
+        return "caller" if threading.get_ident() == caller else "worker"
+
+    def fail_or_lag(windows, patch_side):
+        if half() == failing:
+            raise planted
+        # the other half is still running when the error is raised
+        time.sleep(0.2)
+        return tokenize(windows, patch_side)
+
+    last = model.layers[-1]
+    last_forward = last.forward
+
+    def note_finish(z, train, rng):
+        out = last_forward(z, train, rng)
+        finished.append(half())
+        return out
+
+    monkeypatch.setattr(model_module, "tokenize_batch", fail_or_lag)
+    monkeypatch.setattr(last, "forward", note_finish)
+    with pytest.raises(ValueError) as info:
+        with ad.no_grad():
+            model.forward(windows)
+    assert info.value is planted
+    assert finished == [{"caller": "worker", "worker": "caller"}[failing]]
+    # the worker serves the next forward as before
+    monkeypatch.setattr(model_module, "tokenize_batch", tokenize)
+    with ad.no_grad():
+        assert model.forward(windows).data.tobytes() == reference.data.tobytes()
+
+
+def test_read_only_forwards_from_more_threads_than_cores_keep_every_logit_bit(scene):
+    # eight callers share the one worker, switching threads as often as the
+    # interpreter allows; each must get its own batch's halves back
+    cube, _, manifest = scene
+    model = _seeded_model(layers=2)
+    batches = [extract_samples(cube, manifest.test[i : 2 * i + 5], model.config.window)[0] for i in range(4)]
+    reference = [model.forward(windows, train=False).data.tobytes() for windows in batches]
+    results = [[] for _ in range(8)]
+
+    def call(i):
+        with ad.no_grad():
+            for _ in range(10):
+                results[i].append(model.forward(batches[i % 4]).data.tobytes())
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[reference[i % 4]] * 10 for i in range(8)]
+
+
+def test_read_only_forwards_start_no_thread_per_call(scene):
+    cube, _, manifest = scene
+    model = _seeded_model()
+    windows, _ = extract_samples(cube, manifest.test[:8], model.config.window)
+    before = threading.active_count()
+    with ad.no_grad():
+        for _ in range(20):
+            model.forward(windows)
+    # the one worker, if no earlier forward started it
+    assert threading.active_count() <= before + 1
 
 
 def test_evaluate_report_fields(scene):

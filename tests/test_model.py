@@ -202,6 +202,20 @@ def test_ffn_examples():
     np.testing.assert_allclose(layer.ffn(ad.constant(v)).data, want, rtol=0, atol=1e-12)
 
 
+def test_an_empty_batch_raises_that_it_holds_no_windows():
+    # numpy's reshape used to fail first, with a message naming no batch
+    cfg = _tiny_config()
+    model = MemFormer(cfg)
+    empty = _batch(cfg, 0)
+    with pytest.raises(ValueError, match="^the batch holds no windows$"):
+        tokenize_batch(empty, cfg.patch)
+    for train in (False, True):
+        with pytest.raises(ValueError, match="^the batch holds no windows$"):
+            model.forward(empty, train=train)
+    with ad.no_grad(), pytest.raises(ValueError, match="^the batch holds no windows$"):
+        model.forward(empty)
+
+
 # -- predictions ----------------------------------------------------------------
 
 

@@ -19,6 +19,11 @@ keyed by the enclosing def and the test's text, with the reason. A body
 that ends in ``raise`` is an error check, and its entry is not required.
 Conditional expressions and the operands of ``and``/``or`` make no line
 arcs, so this check does not cover them.
+
+``sys.settrace`` traces the calling thread only. The worker thread that
+encodes half of each read-only ``MemFormer.forward`` batch is not seen, so
+every def and ``if`` side it runs must also run on the calling thread to
+count; the calling thread encodes the other half through the same defs.
 """
 
 import ast
