@@ -18,6 +18,9 @@ more) encodes the first half of its rows on the calling thread and the rest
 on the module's one worker thread, then classifies all rows at once. Every
 logit is bitwise that of the unsplit forward: a row's encoder output depends
 on its own window alone, and the classifier's product sees the whole batch.
+Importing the module sets glibc's malloc, for the whole process, to one
+arena and to fixed mmap and trim thresholds, so that warm forwards on
+either thread fault in no pages.
 
 Checkpoints (magic ``MFCK``) store the format version, the full config, and
 one named record per tensor, parameters and memory banks alike, as
@@ -27,6 +30,7 @@ overwrites every tensor, so a round trip is bit identity.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import struct
 from concurrent import futures
@@ -54,15 +58,34 @@ CHECKPOINT_VERSION = 1
 # the sizes an MFCK config block stores as u32, and the ceilings of its fields
 _CONFIG_INTS = ("window", "patch", "bands", "embed", "layers", "heads", "ffn", "memory", "classes")
 _U32_MAX = 2**32 - 1
+# glibc mallopt parameters: the most malloc arenas a process makes, the
+# smallest block mmapped on its own, and the free top of the heap that
+# malloc gives back to the kernel
+_M_ARENA_MAX, _M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD = -8, -3, -1
+# By default glibc gives each thread that allocates an arena of its own, and
+# both thresholds follow the largest block freed so far. The encoder
+# worker's arena then gives each pass's pages back to the kernel as the
+# pass frees them, and the next pass faults them in again: 35k minor faults
+# per benchmark `eval` operation, none at one thread. Its 16-row passes
+# keep the main heap's thresholds low too, so each `train` operation after
+# the first faults 17-48k times where one thread faults 0-4k. What a fault
+# costs moves with the host, and eval throughput moved with it. One arena,
+# no mmap below 32 MiB and no trim below 64 MiB keep every warm forward and
+# train step, in the whole process, in pages already faulted in. Without
+# glibc's mallopt (macOS, Windows) nothing changes
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(_M_ARENA_MAX, 1)
+    _mallopt(_M_MMAP_THRESHOLD, 32 * 2**20)
+    _mallopt(_M_TRIM_THRESHOLD, 64 * 2**20)
+except (AttributeError, OSError, TypeError):
+    pass
 # encodes the second half of every read-only batch; its one thread starts
 # with the first such forward and serves every later one
 _ENCODER_WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="memformer-encoder")
-# rows per encoder pass of a read-only forward. The worker allocates from a
-# malloc arena of its own, which memory the caller freed cannot refill, so
-# what one of its passes holds adds to the process's RSS. On a 2-vCPU
-# machine, whole 32-row halves of B=64 batches raised the benchmark `train`
-# workload's peak RSS by 8.8% and passes of 16 rows by 0.5%, each at about
-# 1.6x the one-thread eval throughput
+# rows per encoder pass of a read-only forward: it bounds what each thread
+# holds at once
 _READ_ONLY_ROWS = 16
 
 

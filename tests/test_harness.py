@@ -4,6 +4,7 @@ import contextlib
 import csv
 import math
 import re
+import resource
 import sys
 import threading
 import time
@@ -720,6 +721,42 @@ def test_read_only_forwards_start_no_thread_per_call(scene):
             model.forward(windows)
     # the one worker, if no earlier forward started it
     assert threading.active_count() <= before + 1
+
+
+def test_warm_read_only_forwards_fault_in_no_pages():
+    # in a malloc arena of its own the worker handed each pass's pages back
+    # to the kernel and faulted them in again: about 2.2k minor faults per
+    # B=64 forward of the default model, where one thread takes none
+    model = MemFormer(ModelConfig())
+    windows = np.random.default_rng(0).standard_normal((64, 14, 14, 16))
+    with ad.no_grad():
+        for _ in range(3):
+            model.forward(windows)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(5):
+            model.forward(windows)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 500
+
+
+def test_a_warm_train_and_evaluate_fault_in_few_pages():
+    # with glibc's trim threshold following the largest block freed, the
+    # read-only passes kept it low and each later train gave the heap's top
+    # back and faulted it in again: 7-12k minor faults per run, 3-5k at one
+    # thread
+    cube, labels = synth_scene(16, 16, 16, 2, noise_sigma=0.02, seed=3)
+    manifest = stratified_split(labels, (0.4, 0.15, 0.3), seed=5)
+
+    def run():
+        model = MemFormer(ModelConfig(dropout=0.0))
+        train(model, cube, manifest, TrainConfig(epochs=1, batch_size=16))
+        evaluate(model, cube, manifest.test)
+
+    run()
+    run()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
 def test_evaluate_report_fields(scene):
