@@ -104,7 +104,7 @@ def attend(q, k_mem, v_mem, heads):
     scores *= scale
     ad._softmax(scores, scores)
     weights = np.swapaxes(scores, -1, -2)
-    out = _merge_heads_matmul(weights, vh, ad._empty((b, t, heads, d)))
+    out = _merge_heads_matmul(weights, vh)
 
     def grad_fn(g):
         # the gradient GEMMs read the output gradient as a contiguous
@@ -123,13 +123,12 @@ def attend(q, k_mem, v_mem, heads):
     return ad._node(out, (q, k_mem, v_mem), grad_fn, "attend"), ad.constant(weights)
 
 
-def _merge_heads_matmul(a, c, out=None):
+def _merge_heads_matmul(a, c):
     """``a @ c`` for (B, h, m, p) @ (1 or B, h, p, d), written by the GEMM
-    straight into a (B, m, h, d) buffer (``out`` if given) and returned as
-    (B, m, h*d), so the heads merge without a copy."""
+    straight into a (B, m, h, d) buffer and returned as (B, m, h*d), so the
+    heads merge without a copy."""
     b, heads, m = a.shape[:3]
-    if out is None:
-        out = np.empty((b, m, heads, c.shape[-1]))
+    out = np.empty((b, m, heads, c.shape[-1]))
     np.matmul(a, c, out=out.transpose(0, 2, 1, 3))
     return out.reshape(b, m, -1)
 

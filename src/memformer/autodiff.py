@@ -52,21 +52,10 @@ switch is a ``contextvars.ContextVar``, so a block covers only the thread
 that entered it; a worker thread enters its own, as the one that encodes
 half of each read-only ``MemFormer.forward`` batch does.
 
-``harness.train`` runs its steps inside a step pool (``_step_pool``): the
-float64 arrays that nodes' outputs were written into, held in a
-``ContextVar`` like the ``no_grad`` switch, so each thread has its own. In
-recording mode, the ops that make a node's output (``add``, ``matmul``,
-``affine``, the ``_mlp`` output, ``relu``, the ``_layer_norm`` output,
-``dropout``, ``concat`` and ``attend``'s output buffer) ask ``_empty`` for
-the array they write through ``out=``. It hands out a pooled array with the
-same trailing shape, or its leading rows, that nothing outside the pool
-references; if none is free it allocates one, which stays pooled from then
-until the block exits. Outside a pool and under ``no_grad`` it allocates
-and the pool never sees the array. Once ``train`` drops a step's graph, the
-next step's forward refills that step's arrays instead of freeing and
-faulting in a graph's worth of memory, and two steps' activations never
-coexist. The values written are the same either way. The pool empties when
-the block exits, also on an exception.
+Every op allocates its own output. A graph's arrays go back to malloc when
+its last reference goes, so a caller that drops each step's graph before
+the next forward (as ``harness.train`` does) never holds two steps'
+activations at once.
 """
 
 from __future__ import annotations
@@ -74,7 +63,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-import sys
 
 import numpy as np
 
@@ -241,49 +229,6 @@ def no_grad():
         _recording.reset(token)
 
 
-_pool = contextvars.ContextVar("memformer_autodiff_pool", default=None)
-
-
-@contextlib.contextmanager
-def _step_pool():
-    """Install an empty step pool for the calling thread; it is emptied and
-    the previous one restored on exit, also when the block raises."""
-    pool = {}
-    token = _pool.set(pool)
-    try:
-        yield
-    finally:
-        pool.clear()
-        _pool.reset(token)
-
-
-def _empty(shape):
-    """An uninitialised float64 array of ``shape`` for a node's output.
-
-    Recording inside a step pool, it is a pooled array with the same
-    trailing shape, or its leading ``shape[0]`` rows, that nothing outside
-    the pool references: ``sys.getrefcount(bucket[i])`` counts the list's
-    reference and the argument's, and no borrowed local that an interpreter
-    may leave uncounted. If none is free, a fresh array that stays in the
-    pool until the block exits. Outside a pool and under ``no_grad``, a
-    fresh array the pool never sees.
-    """
-    pool = _pool.get()
-    if pool is None or not shape or not _recording.get():
-        return np.empty(shape)
-    bucket = pool.setdefault(shape[1:], [])
-    for i in range(len(bucket)):
-        if bucket[i].shape[0] >= shape[0] and sys.getrefcount(bucket[i]) == 2:
-            return bucket[i][: shape[0]]
-    bucket.append(np.empty(shape))
-    return bucket[-1]
-
-
-def _matmul_shape(a, b):
-    """The shape of ``a @ b`` for array shapes ``a`` and ``b`` of rank >= 2."""
-    return np.broadcast_shapes(a[:-2], b[:-2]) + (a[-2], b[-1])
-
-
 def _node(data, parents, grad_fn, op):
     if not _recording.get():
         return Tensor(data, False, (), None, op)
@@ -300,8 +245,7 @@ def add(a, b):
     def grad_fn(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
-    out = np.add(a.data, b.data, out=_empty(np.broadcast_shapes(a.shape, b.shape)))
-    return _node(out, (a, b), grad_fn, "add")
+    return _node(a.data + b.data, (a, b), grad_fn, "add")
 
 
 def sub(a, b):
@@ -338,8 +282,7 @@ def matmul(a, b):
     """Batched matrix product; leading axes broadcast like ``np.matmul``."""
     a, b = _as_tensor(a), _as_tensor(b)
     _check_matmul(a, b)
-    out = np.matmul(a.data, b.data, out=_empty(_matmul_shape(a.shape, b.shape)))
-    return _node(out, (a, b), lambda g: _matmul_grads(g, a, b), "matmul")
+    return _node(a.data @ b.data, (a, b), lambda g: _matmul_grads(g, a, b), "matmul")
 
 
 def affine(x, weight, bias):
@@ -347,7 +290,7 @@ def affine(x, weight, bias):
     product's buffer."""
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     _check_matmul(x, weight)
-    out = np.matmul(x.data, weight.data, out=_empty(_matmul_shape(x.shape, weight.shape)))
+    out = x.data @ weight.data
     out += bias.data
 
     def grad_fn(g):
@@ -370,7 +313,7 @@ def _mlp(x, w1, b1, w2, b2):
     h = x.data @ w1.data
     h += b1.data
     np.maximum(h, 0.0, out=h)
-    out = np.matmul(h, w2.data, out=_empty(_matmul_shape(h.shape, w2.shape)))
+    out = h @ w2.data
     out += b2.data
 
     def grad_fn(g):
@@ -388,7 +331,7 @@ def _mlp(x, w1, b1, w2, b2):
 
 def relu(x):
     x = _as_tensor(x)
-    out = np.maximum(x.data, 0.0, out=_empty(x.shape))
+    out = np.maximum(x.data, 0.0)
 
     def grad_fn(g):
         # subgradient at exactly 0 is defined as 0
@@ -461,7 +404,7 @@ def _layer_norm(x, parents, gain, bias, op):
         raise ValueError(f"gain/bias must have shape ({n},), got {gain.shape} and {bias.shape}")
     mu = x.mean(axis=-1, keepdims=True)
     xhat = np.subtract(x, mu, out=x)
-    out = np.multiply(xhat, xhat, out=_empty(xhat.shape))
+    out = xhat * xhat
     inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv
     np.multiply(xhat, gain.data, out=out)
@@ -502,7 +445,7 @@ def dropout(x, rate, rng, train):
     def grad_fn(g):
         return (g * mask,)
 
-    return _node(np.multiply(x.data, mask, out=_empty(x.shape)), (x,), grad_fn, "dropout")
+    return _node(x.data * mask, (x,), grad_fn, "dropout")
 
 
 def _nll(x, labels):
@@ -573,10 +516,7 @@ def concat(tensors, axis):
     def grad_fn(g):
         return tuple(np.split(g, offsets, axis=axis))
 
-    shape = list(tensors[0].shape)
-    shape[axis] = sum(sizes)
-    out = np.concatenate([t.data for t in tensors], axis=axis, out=_empty(tuple(shape)))
-    return _node(out, tuple(tensors), grad_fn, "concat")
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), grad_fn, "concat")
 
 
 def narrow(x, axis, start, length):

@@ -7,12 +7,10 @@ validation accuracy to restore at the end. Memory banks mutate only inside
 train-mode forwards, in batch order, so a (seed, config, data) triple fixes
 the loss trace bitwise. Every pass over a split, train steps and evaluation
 alike, cuts its windows one batch at a time, so no split's windows are held
-at once. ``train`` runs its steps inside an ``autodiff`` step pool, private
-to the calling thread. The arrays a step's forward writes its activations
-into stay pooled until ``train`` returns or raises. After each step
-``train`` drops the graph, and the next step's forward refills those arrays,
-so two steps' graphs are never alive at once. Evaluation never touches it.
-Evaluation and the per-epoch accuracy passes run their forwards under
+at once. After each step ``train`` drops the graph before the next forward,
+so two steps' graphs are never alive at once, and the malloc settings that
+``memformer.model`` makes keep the next step in the pages the last one
+freed. Evaluation and the per-epoch accuracy passes run their forwards under
 ``autodiff.no_grad``, where ``MemFormer.forward`` encodes each batch's two
 halves on two threads; the logits are bitwise those of one thread.
 
@@ -144,39 +142,38 @@ def train(model, cube, manifest, cfg):
     best_val = -np.inf
     best_state = None
 
-    with ad._step_pool():
-        for epoch in range(1, cfg.epochs + 1):
-            order = shuffle_rng.permutation(len(y_train))
-            # per-sample losses keyed by dataset index, so the epoch mean does
-            # not depend on the shuffle's summation order or on a ragged final
-            # batch
-            sample_losses = np.zeros(len(y_train))
-            for start in range(0, len(order), cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                windows, labels = extract_samples(cube, manifest.train[idx], window)
-                opt.zero_grad()
-                logits = model.forward(windows, train=True)
-                loss = ad.cross_entropy(logits, labels)
-                if not np.isfinite(loss.data):
-                    raise ValueError(f"epoch {epoch}: non-finite training loss")
-                loss.backward()
-                opt.step()
-                sample_losses[idx] = ad._nll(logits.data, labels)[0]
-                # drop the graph before the next forward, which refills its
-                # arrays instead of allocating beside them
-                del logits, loss
-            train_loss = float(sample_losses.mean())
-            _, train_acc = _eval_loss_acc(model, cube, manifest.train, cfg.batch_size)
-            val_loss, val_acc = _eval_loss_acc(model, cube, manifest.val, cfg.batch_size)
-            history.append(EpochStats(epoch, train_loss, train_acc, val_loss, val_acc))
-            # ties go to the later epoch: equal validation, more training
-            if len(y_val) and val_acc >= best_val:
-                best_val = val_acc
-                best_epoch = epoch
-                best_state = (
-                    {name: p.data.copy() for name, p in model.parameters().items()},
-                    {name: b.copy() for name, b in model.buffers().items()},
-                )
+    for epoch in range(1, cfg.epochs + 1):
+        order = shuffle_rng.permutation(len(y_train))
+        # per-sample losses keyed by dataset index, so the epoch mean does
+        # not depend on the shuffle's summation order or on a ragged final
+        # batch
+        sample_losses = np.zeros(len(y_train))
+        for start in range(0, len(order), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            windows, labels = extract_samples(cube, manifest.train[idx], window)
+            opt.zero_grad()
+            logits = model.forward(windows, train=True)
+            loss = ad.cross_entropy(logits, labels)
+            if not np.isfinite(loss.data):
+                raise ValueError(f"epoch {epoch}: non-finite training loss")
+            loss.backward()
+            opt.step()
+            sample_losses[idx] = ad._nll(logits.data, labels)[0]
+            # drop the graph before the next forward, so that forward
+            # reuses its memory instead of allocating beside it
+            del logits, loss
+        train_loss = float(sample_losses.mean())
+        _, train_acc = _eval_loss_acc(model, cube, manifest.train, cfg.batch_size)
+        val_loss, val_acc = _eval_loss_acc(model, cube, manifest.val, cfg.batch_size)
+        history.append(EpochStats(epoch, train_loss, train_acc, val_loss, val_acc))
+        # ties go to the later epoch: equal validation, more training
+        if len(y_val) and val_acc >= best_val:
+            best_val = val_acc
+            best_epoch = epoch
+            best_state = (
+                {name: p.data.copy() for name, p in model.parameters().items()},
+                {name: b.copy() for name, b in model.buffers().items()},
+            )
 
     if best_state is not None:
         params, banks = best_state

@@ -20,7 +20,7 @@ logit is bitwise that of the unsplit forward: a row's encoder output depends
 on its own window alone, and the classifier's product sees the whole batch.
 Importing the module sets glibc's malloc, for the whole process, to one
 arena and to fixed mmap and trim thresholds, so that warm forwards on
-either thread fault in no pages.
+either thread and warm train steps fault in no pages.
 
 Checkpoints (magic ``MFCK``) store the format version, the full config, and
 one named record per tensor, parameters and memory banks alike, as
@@ -64,15 +64,17 @@ _U32_MAX = 2**32 - 1
 _M_ARENA_MAX, _M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD = -8, -3, -1
 # By default glibc gives each thread that allocates an arena of its own, and
 # both thresholds follow the largest block freed so far. The encoder
-# worker's arena then gives each pass's pages back to the kernel as the
-# pass frees them, and the next pass faults them in again: 35k minor faults
-# per benchmark `eval` operation, none at one thread. Its 16-row passes
-# keep the main heap's thresholds low too, so each `train` operation after
-# the first faults 17-48k times where one thread faults 0-4k. What a fault
-# costs moves with the host, and eval throughput moved with it. One arena,
-# no mmap below 32 MiB and no trim below 64 MiB keep every warm forward and
-# train step, in the whole process, in pages already faulted in. Without
-# glibc's mallopt (macOS, Windows) nothing changes
+# worker's arena then gives each half's pages back to the kernel as the
+# half frees them, and the next half faults them in again: 38k minor faults
+# per benchmark `eval` operation. Each `train` operation after the first
+# faults 107-116k times, as its train steps and evaluation free and fault
+# in their pages again. What a fault costs moves with the host, and
+# throughput moves with it. One arena, no mmap below 32 MiB and no trim
+# below 64 MiB keep every warm forward and train step, in the whole
+# process, in pages already faulted in (0 and 4-105 faults per operation).
+# They are the only thing that does: every autodiff op allocates its
+# output through malloc, and every train step frees its graph through it.
+# Without glibc's mallopt (macOS, Windows) nothing changes
 try:
     _mallopt = ctypes.CDLL(None).mallopt
     _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
@@ -84,9 +86,6 @@ except (AttributeError, OSError, TypeError):
 # encodes the second half of every read-only batch; its one thread starts
 # with the first such forward and serves every later one
 _ENCODER_WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="memformer-encoder")
-# rows per encoder pass of a read-only forward: it bounds what each thread
-# holds at once
-_READ_ONLY_ROWS = 16
 
 
 class CheckpointError(ValueError):
@@ -231,15 +230,14 @@ class MemFormer:
 
         A read-only forward, one in eval mode under ``autodiff.no_grad`` with
         B >= 2, splits the encoder by rows: the calling thread encodes rows
-        [0, ceil(B/2)) while the module's one worker thread encodes the rest,
-        each in passes of at most ``_READ_ONLY_ROWS`` rows. The pooled rows
-        are joined in row order and the classifier runs once on all B of
-        them, so its BLAS kernel sees the batch's own row count and the
-        logits are bitwise those of the unsplit forward. If a half raises,
-        the error reaches the caller only once both halves have finished.
-        Train-mode and recording forwards never split: a train step updates
-        the banks from the batch mean and draws its dropout masks in batch
-        order.
+        [0, ceil(B/2)) while the module's one worker thread encodes the
+        rest, each half in one pass. The pooled rows are joined in row order
+        and the classifier runs once on all B of them, so its BLAS kernel
+        sees the batch's own row count and the logits are bitwise those of
+        the unsplit forward. If a half raises, the error reaches the caller
+        only once both halves have finished. Train-mode and recording
+        forwards never split: a train step updates the banks from the batch
+        mean and draws its dropout masks in batch order.
         """
         batch = np.asarray(batch, dtype=np.float64)
         cfg = self.config
@@ -259,18 +257,15 @@ class MemFormer:
                 head = self._encode_read_only(batch[:half])
             finally:
                 futures.wait([tail])
-            pooled = ad.concat(head + tail.result(), axis=0)
+            pooled = ad.concat([head, tail.result()], axis=0)
         return ad.affine(pooled, self.classifier_w, self.classifier_b)
 
     def _encode_read_only(self, batch):
-        """The pooled rows of ``batch``, ``_encode``d in eval mode under
-        ``no_grad`` at most ``_READ_ONLY_ROWS`` at a time, as a list of
-        (rows, K) tensors. A worker thread must enter ``no_grad`` itself: it
-        does not inherit the caller's context."""
+        """The (B, K) pooled rows of ``batch``, ``_encode``d in eval mode
+        under ``no_grad`` in one pass. A worker thread must enter ``no_grad``
+        itself: it does not inherit the caller's context."""
         with ad.no_grad():
-            return [
-                self._encode(batch[i : i + _READ_ONLY_ROWS], False) for i in range(0, len(batch), _READ_ONLY_ROWS)
-            ]
+            return self._encode(batch, False)
 
     def _encode(self, batch, train):
         """(B, W_s, W_s, S) windows -> (B, K) mean of the final encoder rows.

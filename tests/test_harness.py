@@ -1,6 +1,5 @@
 """Training loop, evaluation, ablation drivers, config files, reports."""
 
-import contextlib
 import csv
 import math
 import re
@@ -9,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -248,171 +248,56 @@ def _traced_epoch_peak(dropout):
 def test_train_epoch_numpy_peak_stays_below_the_retained_graph_peak():
     # traced peaks without dropout: 65.2 MB while every node kept its
     # gradient and saved arrays until the next step's forward replaced the
-    # graph, 42.9 MB once backward released them, 34.1 MB once the next step
-    # refilled the last step's arrays instead of allocating beside them;
+    # graph, 42.9 MB once backward released them, 34.1 MB (33.2 MB today)
+    # once train dropped each step's graph before the next step's forward;
     # each limit is a midpoint
     peak = _traced_epoch_peak(0.0)
     assert peak < (65.2e6 + 42.9e6) / 2
     assert peak < (42.9e6 + 34.1e6) / 2
-    # with dropout: 43.9 MB while each step offered the pool its whole
-    # consumed graph, 40.2 MB now that the pool holds only what it handed out
+    # with dropout: 43.9 MB while a pool held each step's whole consumed
+    # graph into the next step, 40.2 MB (39.8 MB today) once nothing did
     assert _traced_epoch_peak(0.1) < (43.9e6 + 40.2e6) / 2
 
 
-def _pooled_ids():
-    """Ids of the arrays in the calling thread's step pool, by trailing shape."""
-    return {key: [id(a) for a in bucket] for key, bucket in ad._pool.get().items()}
-
-
-def _fill_pool(value):
-    for bucket in ad._pool.get().values():
-        for a in bucket:
-            a.fill(value)
-
-
-def _pooled_arrays_holding(value):
-    return sum(bool((a == value).all()) for bucket in ad._pool.get().values() for a in bucket)
-
-
-def test_train_never_overwrites_an_array_held_outside_the_pool(scene, monkeypatch):
-    # the test holds bare arrays, not tensors: a held logits tensor would
-    # keep its whole graph, and with it every array, out of the pool
+@pytest.mark.parametrize("attention", ["memory", "standard"])
+def test_no_array_a_train_step_produced_outlives_the_step(scene, monkeypatch, attention):
+    # when a train forward starts, every earlier step's graph is gone: a
+    # weakref to the base array of each step's logits and of its first FFN
+    # output must be dead, the ragged last step of an epoch included
     cube, _, manifest = scene
-    model = MemFormer(tiny_model_config(dropout=0.2))
-    held = []
-    offered = []
-    took_pooled = []
+    model = MemFormer(tiny_model_config(attention=attention, dropout=0.2, layers=2))
+    refs = []
+    alive = []  # per train forward after the first: earlier arrays still alive
+    training = []
     forward = model.forward
-
-    def keep_logits(batch, train=False):
-        out = forward(batch, train=train)
-        if train:
-            held.append((out.data, out.data.copy()))
-        return out
-
     ffn = model_module._EncoderLayer.ffn
 
-    def keep_one_ffn_output(layer, x):
-        pooled = ad._pool.get()
-        if pooled is not None and ad._recording.get():
-            offered[:] = [a.ctypes.data for bucket in pooled.values() for a in bucket]
-        out = ffn(layer, x)
-        if pooled is not None and ad._recording.get():
-            took_pooled.append(out.data.ctypes.data in offered)
-            if len(took_pooled) == 3:
-                held.append((out.data, out.data.copy()))
+    def note(a):
+        refs.append(weakref.ref(a if a.base is None else a.base))
+
+    def note_logits(batch, train=False):
+        if train and refs:
+            alive.append(sum(r() is not None for r in refs))
+        training[:] = [train]
+        out = forward(batch, train=train)
+        if train:
+            note(out.data)
         return out
 
-    model.forward = keep_logits
-    monkeypatch.setattr(model_module._EncoderLayer, "ffn", keep_one_ffn_output)
-    # 8 full batches of 7 and a ragged one per epoch
+    def note_first_ffn_output(layer, x):
+        out = ffn(layer, x)
+        if training == [True]:
+            note(out.data)
+            training[:] = [False]
+        return out
+
+    model.forward = note_logits
+    monkeypatch.setattr(model_module._EncoderLayer, "ffn", note_first_ffn_output)
     assert len(manifest.train) % 7
     train(model, cube, manifest, TrainConfig(epochs=2, batch_size=7, seed=0))
     steps = 2 * -(-len(manifest.train) // 7)
-    assert len(held) == steps + 1
-    # a live array never received a later step's values...
-    for array, copy in held:
-        np.testing.assert_array_equal(array, copy)
-    # ...while the FFN outputs did refill arrays an earlier step had used
-    assert len(took_pooled) == steps and sum(took_pooled) > steps // 2
-
-
-def test_the_step_pool_is_scoped_to_train(scene, monkeypatch):
-    cube, _, manifest = scene
-    pools = []
-    cross_entropy = ad.cross_entropy
-
-    def note_pool(logits, labels):
-        pools.append(ad._pool.get())
-        return cross_entropy(logits, labels)
-
-    monkeypatch.setattr(ad, "cross_entropy", note_pool)
-    model = MemFormer(tiny_model_config())
-    assert ad._pool.get() is None
-    train(model, cube, manifest, quick_train_config())
-    assert pools and all(p is pools[0] for p in pools)
-    assert ad._pool.get() is None and pools[0] == {}
-
-    # a step that raises empties the pool on the way out
-    def nan_on_third_step(logits, labels):
-        loss = note_pool(logits, labels)
-        if len(pools) == 3:
-            loss.data = np.array(np.nan)
-        return loss
-
-    def note_pool_size(logits, labels):
-        sizes.append(len(ad._pool.get()))
-        return nan_on_third_step(logits, labels)
-
-    pools.clear()
-    sizes = []
-    monkeypatch.setattr(ad, "cross_entropy", note_pool_size)
-    with pytest.raises(ValueError, match="non-finite training loss"):
-        train(MemFormer(tiny_model_config()), cube, manifest, quick_train_config())
-    # the first step's forward filled the pool, and steps 2 and 3 found
-    # their shapes there
-    assert sizes[0] > 0 and sizes[1] == sizes[2] == sizes[0]
-    assert len(pools) == 3 and pools[0] == {}
-    assert ad._pool.get() is None
-
-
-def test_read_only_forwards_neither_take_from_nor_add_to_the_step_pool(scene):
-    cube, _, manifest = scene
-    model = MemFormer(tiny_model_config(dropout=0.2))
-    windows, labels = extract_samples(cube, manifest.train[:7], model.config.window)
-    with ad._step_pool():
-        loss = ad.cross_entropy(model.forward(windows, train=True), labels)
-        loss.backward()
-        del loss
-        pooled = _pooled_ids()
-        count = sum(map(len, pooled.values()))
-        assert count > 10
-        # a pooled array that a forward takes is overwritten, so a marker
-        # value left in every pooled array shows each take
-        _fill_pool(7.0)
-        evaluate(model, cube, manifest.test, batch_size=7)
-        with ad.no_grad():
-            model.forward(windows)
-            ad.softmax_rows(model.forward(windows))
-        assert _pooled_ids() == pooled
-        assert _pooled_arrays_holding(7.0) == count
-        # a recording forward does take from it, and needs nothing new
-        logits = model.forward(windows, train=True)
-        assert _pooled_ids() == pooled
-        assert _pooled_arrays_holding(7.0) < count
-        del logits
-    assert ad._pool.get() is None
-
-
-def _pooled_arrays_sharing_memory_with(params):
-    arrays = [a for bucket in ad._pool.get().values() for a in bucket]
-    return len(arrays), {name for name, p in params.items() if any(np.may_share_memory(a, p.data) for a in arrays)}
-
-
-def test_train_pools_no_parameter_array_and_the_same_array_count_every_step(monkeypatch):
-    # the default model, dropout included, for 2 epochs of 4 steps; the pool
-    # holds only arrays that node outputs asked for, never a parameter's
-    cube, labels = synth_scene(16, 16, 16, 2, noise_sigma=0.05, seed=0)
-    manifest = stratified_split(labels, (0.2, 0.05, 0.5), seed=1)
-    model = MemFormer(ModelConfig())
-    params = model.parameters()
-    counts = []
-    pooled_params = set()
-    cross_entropy = ad.cross_entropy
-
-    def inspect_pool(logits, labels):
-        count, names = _pooled_arrays_sharing_memory_with(params)
-        counts.append(count)
-        pooled_params.update(names)
-        return cross_entropy(logits, labels)
-
-    monkeypatch.setattr(ad, "cross_entropy", inspect_pool)
-    train(model, cube, manifest, TrainConfig(epochs=2, batch_size=16, seed=0))
-    assert len(counts) == 2 * -(-len(manifest.train) // 16) > 2
-    assert pooled_params == set()
-    # the first step's forward fills the pool, and every later one,
-    # the ragged last step of an epoch included, finds its arrays there
-    assert counts[0] > 0 and counts == [counts[0]] * len(counts)
+    assert len(refs) == 2 * steps
+    assert alive == [0] * (steps - 1)
 
 
 def test_two_threads_training_at_once_reproduce_their_single_thread_runs(scene, monkeypatch):
@@ -431,18 +316,19 @@ def test_two_threads_training_at_once_reproduce_their_single_thread_runs(scene, 
             np.testing.assert_array_equal(a[1][name], b[1][name])
 
     reference = [run(cfg) for cfg in configs]
-    pools = [set(), set()]
+    inside = [False, False]
     both_inside = threading.Barrier(2, timeout=30)
     cross_entropy = ad.cross_entropy
 
-    def note_pool(logits, labels):
+    def meet_once(logits, labels):
+        # each thread's first step waits for the other's, so both train at once
         me = int(threading.current_thread().name)
-        if not pools[me]:
+        if not inside[me]:
             both_inside.wait()
-        pools[me].add(id(ad._pool.get()))
+            inside[me] = True
         return cross_entropy(logits, labels)
 
-    monkeypatch.setattr(ad, "cross_entropy", note_pool)
+    monkeypatch.setattr(ad, "cross_entropy", meet_once)
     results = [None, None]
 
     def worker(i):
@@ -455,38 +341,7 @@ def test_two_threads_training_at_once_reproduce_their_single_thread_runs(scene, 
         t.join()
     for got, want in zip(results, reference):
         assert_same(got, want)
-    # each thread ran inside one pool of its own, both alive at once
-    assert len(pools[0]) == len(pools[1]) == 1 and pools[0] != pools[1]
-
-
-@pytest.mark.parametrize("attention", ["memory", "standard"])
-@pytest.mark.parametrize("pe_mode", ["none", "learnable", "sinusoidal1d", "sspe"])
-def test_the_step_pool_changes_no_number(scene, monkeypatch, attention, pe_mode):
-    cube, _, manifest = scene
-
-    def run():
-        traces = []
-        for batch_size in (7, 16):
-            model = MemFormer(tiny_model_config(attention=attention, pe_mode=pe_mode, dropout=0.2, layers=2))
-            rng = np.random.default_rng(4)
-            for name, bank in model.buffers().items():
-                model.set_buffer(name, 0.5 * rng.standard_normal(bank.shape))
-            result = train(model, cube, manifest, TrainConfig(epochs=2, batch_size=batch_size, seed=0))
-            report = evaluate(model, cube, manifest.test, batch_size=batch_size)
-            state = {name: p.data.copy() for name, p in model.parameters().items()}
-            state.update(model.buffers())
-            traces.append(([asdict(e) for e in result.history], state, report.confusion))
-        return traces
-
-    pooled = run()
-    # the reference installs no pool, so every node allocates its output
-    monkeypatch.setattr(ad, "_step_pool", contextlib.nullcontext)
-    for (history, state, confusion), (ref_history, ref_state, ref_confusion) in zip(pooled, run()):
-        assert history == ref_history
-        assert state.keys() == ref_state.keys()
-        for name in state:
-            np.testing.assert_array_equal(state[name], ref_state[name])
-        np.testing.assert_array_equal(confusion, ref_confusion)
+    assert inside == [True, True]
 
 
 def test_evaluate_rejects_empty_split(scene):
@@ -616,12 +471,12 @@ def test_a_read_only_forward_splits_its_encoder_rows_and_keeps_every_logit_bit(
 
     monkeypatch.setattr(model_module, "tokenize_batch", note_thread)
     # rows [0, ceil(B/2)) on the calling thread, the rest on the worker,
-    # each in passes of at most 16 rows
+    # each half in one pass
     passes = {
         2: [(True, 1), (False, 1)],
         3: [(True, 2), (False, 1)],
         7: [(True, 4), (False, 3)],
-        40: [(True, 16), (True, 4), (False, 16), (False, 4)],
+        40: [(True, 20), (False, 20)],
     }
     for b, want in passes.items():
         windows, _ = extract_samples(cube, manifest.test[:b], model.config.window)
@@ -739,16 +594,18 @@ def test_warm_read_only_forwards_fault_in_no_pages():
     assert faults < 500
 
 
-def test_a_warm_train_and_evaluate_fault_in_few_pages():
+@pytest.mark.parametrize("attention", ["memory", "standard"])
+def test_a_warm_train_and_evaluate_fault_in_few_pages(attention):
     # with glibc's trim threshold following the largest block freed, the
     # read-only passes kept it low and each later train gave the heap's top
     # back and faulted it in again: 7-12k minor faults per run, 3-5k at one
-    # thread
+    # thread. Every autodiff op allocates its output through malloc, so the
+    # malloc settings alone keep a warm step in pages already faulted in
     cube, labels = synth_scene(16, 16, 16, 2, noise_sigma=0.02, seed=3)
     manifest = stratified_split(labels, (0.4, 0.15, 0.3), seed=5)
 
     def run():
-        model = MemFormer(ModelConfig(dropout=0.0))
+        model = MemFormer(ModelConfig(dropout=0.0, attention=attention))
         train(model, cube, manifest, TrainConfig(epochs=1, batch_size=16))
         evaluate(model, cube, manifest.test)
 
