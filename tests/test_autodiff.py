@@ -799,3 +799,34 @@ def test_no_grad_is_per_thread():
     }
     assert ad.mul(x, x).requires_grad
 
+
+
+_OUTPUT_OPS = {
+    "add": lambda x, w, b, rng: ad.add(x, x),
+    "matmul": lambda x, w, b, rng: ad.matmul(x, w),
+    "affine": lambda x, w, b, rng: ad.affine(x, w, b),
+    "mlp": lambda x, w, b, rng: ad._mlp(x, w, b, w, b),
+    "relu": lambda x, w, b, rng: ad.relu(x),
+    "layer_norm": lambda x, w, b, rng: ad.layer_norm(x, b, b),
+    "dropout": lambda x, w, b, rng: ad.dropout(x, 0.5, rng, train=True),
+    "concat": lambda x, w, b, rng: ad.concat([x, x], axis=0),
+}
+
+
+@pytest.mark.parametrize("op", list(_OUTPUT_OPS))
+def test_a_recording_op_writes_a_new_array_and_leaves_a_held_output_alone(op):
+    rng = np.random.default_rng(0)
+    inputs = (_param(rng, 3, 4), _param(rng, 4, 4), _param(rng, 4))
+    before = [t.data.copy() for t in inputs]
+    first = _OUTPUT_OPS[op](*inputs, rng)
+    held = first.data.copy()
+    second = _OUTPUT_OPS[op](*inputs, rng)
+    assert first.requires_grad and second.requires_grad
+    # each call writes an array of its own: no input, and no output the
+    # caller still holds from an earlier call
+    for out in (first, second):
+        assert not any(np.may_share_memory(out.data, t.data) for t in inputs)
+    assert not np.may_share_memory(first.data, second.data)
+    np.testing.assert_array_equal(first.data, held)
+    for t, b in zip(inputs, before):
+        np.testing.assert_array_equal(t.data, b)

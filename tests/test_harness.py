@@ -300,6 +300,94 @@ def test_no_array_a_train_step_produced_outlives_the_step(scene, monkeypatch, at
     assert alive == [0] * (steps - 1)
 
 
+def _unwrap(holder):
+    if isinstance(holder, list):
+        return holder[0]
+    if isinstance(holder, ad.Tensor):
+        return holder.data
+    return holder
+
+
+@pytest.mark.parametrize(
+    "hold",
+    [lambda a: a, lambda a: [a], lambda a: a[1:], ad.constant],
+    ids=["local", "list", "view", "tensor"],
+)
+def test_train_never_overwrites_an_array_a_caller_holds(scene, monkeypatch, hold):
+    # the test holds bare arrays, or constants around them, never a tensor
+    # of the graph: every step's logits and every recorded FFN output
+    cube, _, manifest = scene
+    model = MemFormer(tiny_model_config(dropout=0.2, layers=2))
+    held = []
+    forward = model.forward
+    ffn = model_module._EncoderLayer.ffn
+
+    def keep(a):
+        holder = hold(a)
+        held.append((holder, _unwrap(holder).copy()))
+
+    def keep_logits(batch, train=False):
+        out = forward(batch, train=train)
+        if train:
+            keep(out.data)
+        return out
+
+    def keep_ffn_output(layer, x):
+        out = ffn(layer, x)
+        if ad._recording.get():
+            keep(out.data)
+        return out
+
+    model.forward = keep_logits
+    monkeypatch.setattr(model_module._EncoderLayer, "ffn", keep_ffn_output)
+    assert len(manifest.train) % 7
+    train(model, cube, manifest, TrainConfig(epochs=2, batch_size=7, seed=0))
+    steps = 2 * -(-len(manifest.train) // 7)
+    assert len(held) == 3 * steps
+    # no later step wrote into an array that was still held
+    for holder, copy in held:
+        np.testing.assert_array_equal(_unwrap(holder), copy)
+
+
+def _dirty_the_freed_heap():
+    # arrays of every power-of-two size up to 1 MB, filled with NaN and freed,
+    # so an op that reads memory it did not write meets NaN
+    garbage = [np.full(1 << k, np.nan) for k in range(17) for _ in range(8)]
+    del garbage
+
+
+@pytest.mark.parametrize("attention", ["memory", "standard"])
+@pytest.mark.parametrize("pe_mode", ["none", "learnable", "sinusoidal1d", "sspe"])
+def test_memory_freed_full_of_nan_changes_no_number(scene, attention, pe_mode):
+    # every op allocates its output, several with np.empty; a run on a heap
+    # whose free memory holds NaN equals a run on whatever was freed before
+    cube, _, manifest = scene
+
+    def run():
+        traces = []
+        for batch_size in (7, 16):
+            model = MemFormer(tiny_model_config(attention=attention, pe_mode=pe_mode, dropout=0.2, layers=2))
+            rng = np.random.default_rng(4)
+            for name, bank in model.buffers().items():
+                model.set_buffer(name, 0.5 * rng.standard_normal(bank.shape))
+            result = train(model, cube, manifest, TrainConfig(epochs=2, batch_size=batch_size, seed=0))
+            report = evaluate(model, cube, manifest.test, batch_size=batch_size)
+            state = {name: p.data.copy() for name, p in model.parameters().items()}
+            state.update(model.buffers())
+            traces.append(([asdict(e) for e in result.history], state, report.confusion))
+        return traces
+
+    reference = run()
+    _dirty_the_freed_heap()
+    for (history, state, confusion), (ref_history, ref_state, ref_confusion) in zip(run(), reference):
+        assert all(math.isfinite(e["train_loss"]) for e in history)
+        assert history == ref_history
+        assert state.keys() == ref_state.keys()
+        for name in state:
+            np.testing.assert_array_equal(state[name], ref_state[name])
+        np.testing.assert_array_equal(confusion, ref_confusion)
+
+
 def test_two_threads_training_at_once_reproduce_their_single_thread_runs(scene, monkeypatch):
     cube, _, manifest = scene
     configs = [tiny_model_config(seed=1, dropout=0.2), tiny_model_config(seed=2, attention="standard")]
