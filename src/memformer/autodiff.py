@@ -42,6 +42,22 @@ returned array may alias another node's gradient (``add`` hands the same one
 to both parents) and no gradient array is ever written to after it is
 handed over.
 
+Training runs on two threads. The module owns the process's one worker
+thread, ``_WORKER``, and hands it three kinds of work, each of which it
+computes with the numpy calls of one thread on the same rows, so every
+number is bitwise the one-thread result:
+- in a recording ``_mlp`` forward and in its backward's input-gradient
+  products, rows [0, ceil(B/2)) run on the calling thread and the rest on
+  the worker (``_split_rows``);
+- inside ``backward``, the gradient of a leaf that a ``matmul``, ``affine``,
+  ``_mlp`` or LayerNorm node hands over (a weight's product, a bias's or
+  gain's batch reduction) is a ``_Task`` the worker computes while the
+  calling thread runs on down the input-gradient chain. A grad_fn called
+  outside ``backward`` returns arrays;
+- ``MemFormer.forward`` hands it half of each read-only batch.
+The calling thread takes back and runs any ``_Task`` the worker has not
+started by the time it needs the result.
+
 ``no_grad()`` switches recording off for a block: every primitive result
 made inside it is a constant with no parents and no ``grad_fn``, so each
 intermediate is freed as soon as nothing reads its values. The values are
@@ -49,8 +65,9 @@ the same as with recording on. Leaves are unaffected: ``parameter`` and
 ``glorot_uniform`` still make trainable tensors inside the block. Use it
 around forwards whose results are only read, never backpropagated. The
 switch is a ``contextvars.ContextVar``, so a block covers only the thread
-that entered it; a worker thread enters its own, as the one that encodes
-half of each read-only ``MemFormer.forward`` batch does.
+that entered it; the worker enters its own to encode half of a read-only
+``MemFormer.forward`` batch, and ``_mlp`` splits only recording calls, so
+no task the worker runs hands it another.
 
 Every op allocates its own output. A graph's arrays go back to malloc when
 its last reference goes, so a caller that drops each step's graph before
@@ -60,9 +77,11 @@ activations at once.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import contextvars
 import math
+from concurrent import futures
 
 import numpy as np
 
@@ -138,6 +157,15 @@ class Tensor:
         separate graphs without clearing it sum. A graph can be
         backpropagated once: reaching a node an earlier backward consumed
         raises ``ValueError`` before any gradient changes.
+
+        Weight, bias and gain gradients are computed on the worker thread
+        while this one runs the input-gradient chain; at most
+        ``_MAX_DEFERRED`` of them are unfinished at a time. Before it
+        returns, ``backward`` waits for every one and adds each leaf's
+        gradients in traversal order, so every bit is that of a traversal
+        on one thread. If a grad_fn or a task raises, the error reaches the
+        caller once no task of this call is queued or running, and no leaf
+        ``grad`` has changed.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.data.shape}")
@@ -145,15 +173,37 @@ class Tensor:
             return
         order = _topo_order(self)
         self.grad = np.ones_like(self.data)
-        while order:
-            node = order.pop()
-            if node._grad_fn is None:  # a leaf
-                continue
-            for parent, g in zip(node._parents, node._grad_fn(node.grad)):
-                if parent.requires_grad:
-                    parent.grad = g if parent.grad is None else parent.grad + g
-            node.grad = None
-            node._grad_fn = None
+        # leaf -> its gradients in traversal order, each an array or a _Task
+        leaves = {}
+        deferred = collections.deque()
+        token = _deferred.set(deferred)
+        try:
+            while order:
+                node = order.pop()
+                if node._grad_fn is None:  # a leaf
+                    continue
+                for parent, g in zip(node._parents, node._grad_fn(node.grad)):
+                    if not parent.requires_grad:
+                        continue
+                    if parent._parents:
+                        parent.grad = g if parent.grad is None else parent.grad + g
+                    else:
+                        leaves.setdefault(parent, []).append(g)
+                node.grad = None
+                node._grad_fn = None
+            leaves = {leaf: [g.result() if isinstance(g, _Task) else g for g in gs] for leaf, gs in leaves.items()}
+        except BaseException:
+            # no task outlives the call: cancel what the worker has not
+            # started and wait for what it has. ``deferred`` holds every
+            # unfinished task, also one whose grad_fn raised before
+            # returning it
+            futures.wait([t._future for t in deferred if not t._future.cancel()])
+            raise
+        finally:
+            _deferred.reset(token)
+        for leaf, gs in leaves.items():
+            for g in gs:
+                leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 def constant(data):
@@ -236,6 +286,79 @@ def _node(data, parents, grad_fn, op):
     return Tensor(data, req, parents, grad_fn if req else None, op)
 
 
+# -- the worker thread -------------------------------------------------------
+
+# the process's one worker thread; it starts with the first task and serves
+# every later one, from every calling thread, in the order they were handed
+# over. No task it runs hands it another and waits, so it never waits on
+# its own queue
+_WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="memformer-worker")
+
+
+class _Task:
+    """``fn()``, handed to the worker.
+
+    ``result`` takes back a task the worker has not started and runs it on
+    the calling thread, so no caller waits on a task queued behind others.
+    """
+
+    __slots__ = ("_fn", "_future")
+
+    def __init__(self, fn):
+        self._fn = fn
+        self._future = _WORKER.submit(self._run)
+
+    def _run(self):
+        # the inputs are dropped once the task runs, not when it is read
+        fn, self._fn = self._fn, None
+        return fn()
+
+    def result(self):
+        return self._run() if self._future.cancel() else self._future.result()
+
+
+def _split_rows(fn, n):
+    """``fn(rows)`` for rows [0, ceil(n/2)) on the calling thread and for
+    [ceil(n/2), n) on the worker, or on the calling thread if the worker has
+    not started them by then. An error in either reaches the caller once
+    neither half is running."""
+    half = -(-n // 2)
+    task = _Task(lambda: fn(slice(half, n)))
+    try:
+        fn(slice(0, half))
+    except BaseException:
+        if not task._future.cancel():
+            futures.wait([task._future])
+        raise
+    task.result()
+
+
+# inside ``Tensor.backward``, the leaf-gradient _Tasks it has handed the
+# worker and not yet seen finish, oldest first; None outside
+_deferred = contextvars.ContextVar("memformer_autodiff_deferred", default=None)
+# the most leaf-gradient tasks one backward leaves unfinished; past it the
+# calling thread computes the next gradient itself. A task holds its inputs
+# (an FFN's hidden layer or its gradient, an upstream gradient) until it
+# runs, and the heap grows with what is held: over 100 train steps of the
+# benchmark's model at B=16, max RSS rose 1.6-5.4 MB above one thread's with
+# no bound, and 0-0.4 MB with this one
+_MAX_DEFERRED = 4
+
+
+def _leaf_grad(t, compute):
+    """``compute()``, the gradient of ``t``; inside ``backward``, if ``t`` is
+    a leaf that requires one and fewer than ``_MAX_DEFERRED`` earlier ones
+    are unfinished, a _Task that computes it on the worker."""
+    deferred = _deferred.get()
+    while deferred and deferred[0]._future.done():
+        deferred.popleft()
+    if deferred is None or t._parents or not t.requires_grad or len(deferred) >= _MAX_DEFERRED:
+        return compute()
+    task = _Task(compute)
+    deferred.append(task)
+    return task
+
+
 # -- arithmetic ----------------------------------------------------------
 
 
@@ -273,8 +396,10 @@ def _check_matmul(a, b):
 
 def _matmul_grads(g, a, b):
     """Gradients of ``a @ b`` for output gradient ``g``; None for a constant."""
-    ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape) if a.requires_grad else None
-    gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if b.requires_grad else None
+    ga = (_leaf_grad(a, lambda: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+          if a.requires_grad else None)
+    gb = (_leaf_grad(b, lambda: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+          if b.requires_grad else None)
     return ga, gb
 
 
@@ -295,33 +420,77 @@ def affine(x, weight, bias):
 
     def grad_fn(g):
         gx, gw = _matmul_grads(g, x, weight)
-        return gx, gw, _unbroadcast(g, bias.data.shape)
+        return gx, gw, _leaf_grad(bias, lambda: _unbroadcast(g, bias.data.shape))
 
     return _node(out, (x, weight, bias), grad_fn, "affine")
 
 
+def _sum_of_products(a, b):
+    """``_unbroadcast(np.swapaxes(a, -1, -2) @ b, shape)`` for a matrix
+    ``shape``, bitwise, one (n, p).T @ (n, q) product at a time.
+
+    Each product is the GEMM call the stacked product makes for that slice,
+    and numpy adds a stack over its leading axes in index order, as this
+    loop does. So the stack, an FFN backward's largest temporary (2 MB at
+    B=16), is never allocated, and a train epoch's peak stays below one
+    thread's while the worker holds the inputs of unfinished gradients."""
+    a = a.reshape(-1, *a.shape[-2:])
+    b = b.reshape(-1, *b.shape[-2:])
+    out = a[0].T @ b[0]
+    for ai, bi in zip(a[1:], b[1:]):
+        out += ai.T @ bi
+    return out
+
+
 def _mlp(x, w1, b1, w2, b2):
-    """affine(relu(affine(x, w1, b1)), w2, b2) as one node.
+    """affine(relu(affine(x, w1, b1)), w2, b2) as one node, for matrices
+    ``w1`` and ``w2``.
 
     The hidden layer is one buffer: bias and ReLU are applied in place, and
     the backward reads the ReLU mask from it (``h > 0`` exactly where the
     pre-activation was > 0, so the subgradient at 0 is 0, as in ``relu``).
+    A recording call splits the rows of ``x``'s axis 0 with ``_split_rows``,
+    in its forward and in the input-gradient products of its backward: each
+    row's numbers come from the same numpy calls on that row alone. The
+    weight gradients are ``_sum_of_products``.
     """
     x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
     _check_matmul(x, w1)
     _check_matmul(x, w2)  # the hidden layer is at least x's rank
-    h = x.data @ w1.data
-    h += b1.data
-    np.maximum(h, 0.0, out=h)
-    out = h @ w2.data
-    out += b2.data
+    h = np.empty(x.shape[:-1] + w1.shape[-1:])
+    out = np.empty(x.shape[:-1] + w2.shape[-1:])
+
+    def forward(rows):
+        hr, outr = h[rows], out[rows]
+        np.matmul(x.data[rows], w1.data, out=hr)
+        hr += b1.data
+        np.maximum(hr, 0.0, out=hr)
+        np.matmul(hr, w2.data, out=outr)
+        outr += b2.data
+
+    if _recording.get():
+        _split_rows(forward, x.shape[0])
+    else:
+        forward(...)
 
     def grad_fn(g):
-        gw2 = _unbroadcast(np.swapaxes(h, -1, -2) @ g, w2.data.shape)
-        gh = g @ np.swapaxes(w2.data, -1, -2)
-        gh *= h > 0.0
-        gx, gw1 = _matmul_grads(gh, x, w1)
-        return gx, gw1, _unbroadcast(gh, b1.data.shape), gw2, _unbroadcast(g, b2.data.shape)
+        gh = np.empty(h.shape)
+        gx = np.empty(x.shape)
+
+        def input_grads(rows):
+            ghr = gh[rows]
+            np.matmul(g[rows], np.swapaxes(w2.data, -1, -2), out=ghr)
+            ghr *= h[rows] > 0.0
+            np.matmul(ghr, np.swapaxes(w1.data, -1, -2), out=gx[rows])
+
+        _split_rows(input_grads, x.shape[0])
+        return (
+            gx,
+            _leaf_grad(w1, lambda: _sum_of_products(x.data, gh)),
+            _leaf_grad(b1, lambda: _unbroadcast(gh, b1.data.shape)),
+            _leaf_grad(w2, lambda: _sum_of_products(h, g)),
+            _leaf_grad(b2, lambda: _unbroadcast(g, b2.data.shape)),
+        )
 
     return _node(out, (x, w1, b1, w2, b2), grad_fn, "mlp")
 
@@ -419,8 +588,8 @@ def _layer_norm(x, parents, gain, bias, op):
         gx -= gx.mean(axis=-1, keepdims=True)
         gx -= np.multiply(xhat, t_mean, out=t)
         gx *= inv
-        ggain = _unbroadcast(np.multiply(g, xhat, out=t), gain.data.shape)
-        gbias = _unbroadcast(g, bias.data.shape)
+        ggain = _leaf_grad(gain, lambda: _unbroadcast(np.multiply(g, xhat, out=t), gain.data.shape))
+        gbias = _leaf_grad(bias, lambda: _unbroadcast(g, bias.data.shape))
         return tuple(_unbroadcast(gx, p.data.shape) for p in parents) + (ggain, gbias)
 
     return _node(out, parents + (gain, bias), grad_fn, op)

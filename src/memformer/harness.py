@@ -12,7 +12,10 @@ so two steps' graphs are never alive at once, and the malloc settings that
 ``memformer.model`` makes keep the next step in the pages the last one
 freed. Evaluation and the per-epoch accuracy passes run their forwards under
 ``autodiff.no_grad``, where ``MemFormer.forward`` encodes each batch's two
-halves on two threads; the logits are bitwise those of one thread.
+halves on two threads. Train steps use the same two threads: each FFN
+splits its rows, and the backward computes weight, bias and gain gradients
+on the autodiff worker thread. Logits and loss traces are bitwise those of
+one thread.
 
 The ablation drivers retrain fresh models that differ in exactly one config
 field and emit one row per variant: metrics, census, the split-manifest

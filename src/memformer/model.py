@@ -15,9 +15,12 @@ makes the model trainable in both attention modes.
 
 A read-only forward (eval mode under ``autodiff.no_grad``, two windows or
 more) encodes the first half of its rows on the calling thread and the rest
-on the module's one worker thread, then classifies all rows at once. Every
-logit is bitwise that of the unsplit forward: a row's encoder output depends
-on its own window alone, and the classifier's product sees the whole batch.
+on the process's one worker thread, the one ``autodiff`` owns, then
+classifies all rows at once. Every logit is bitwise that of the unsplit
+forward: a row's encoder output depends on its own window alone, and the
+classifier's product sees the whole batch. A train step runs on the same
+two threads inside ``autodiff``: each FFN splits its rows, and the backward
+hands the worker the weight, bias and gain gradients.
 Importing the module sets glibc's malloc, for the whole process, to one
 arena and to fixed mmap and trim thresholds, so that warm forwards on
 either thread and warm train steps fault in no pages.
@@ -83,9 +86,6 @@ try:
     _mallopt(_M_TRIM_THRESHOLD, 64 * 2**20)
 except (AttributeError, OSError, TypeError):
     pass
-# encodes the second half of every read-only batch; its one thread starts
-# with the first such forward and serves every later one
-_ENCODER_WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="memformer-encoder")
 
 
 class CheckpointError(ValueError):
@@ -230,13 +230,14 @@ class MemFormer:
 
         A read-only forward, one in eval mode under ``autodiff.no_grad`` with
         B >= 2, splits the encoder by rows: the calling thread encodes rows
-        [0, ceil(B/2)) while the module's one worker thread encodes the
-        rest, each half in one pass. The pooled rows are joined in row order
+        [0, ceil(B/2)) while the autodiff worker thread encodes the rest,
+        each half in one pass. The pooled rows are joined in row order
         and the classifier runs once on all B of them, so its BLAS kernel
         sees the batch's own row count and the logits are bitwise those of
         the unsplit forward. If a half raises, the error reaches the caller
         only once both halves have finished. Train-mode and recording
-        forwards never split: a train step updates the banks from the batch
+        forwards never split the encoder, only their FFN rows (see
+        ``autodiff._mlp``): a train step updates the banks from the batch
         mean and draws its dropout masks in batch order.
         """
         batch = np.asarray(batch, dtype=np.float64)
@@ -252,7 +253,7 @@ class MemFormer:
             pooled = self._encode(batch, train)
         else:
             half = -(-b // 2)
-            tail = _ENCODER_WORKER.submit(self._encode_read_only, batch[half:])
+            tail = ad._WORKER.submit(self._encode_read_only, batch[half:])
             try:
                 head = self._encode_read_only(batch[:half])
             finally:

@@ -1,13 +1,30 @@
 """Test oracles: reference computations the package's results are held to.
 
-``finite_diff_grad`` is the gradient oracle; ``layer_norm`` and
-``softmax_rows`` are the textbook numpy formulas for the two normalisations
-the model uses.
+``finite_diff_grad`` is the gradient oracle and ``serial_backward`` the
+backward one; ``layer_norm`` and ``softmax_rows`` are the textbook numpy
+formulas for the two normalisations the model uses.
 """
 
 import numpy as np
 
+from memformer import autodiff as ad
 from memformer.autodiff import Tensor
+
+
+def serial_backward(loss):
+    """The traversal of ``Tensor.backward`` before it released anything or
+    handed work to the worker thread: every node keeps its gradient and its
+    grad_fn, each grad_fn is called directly and so returns arrays, and each
+    gradient is added on arrival, in traversal order. The oracle for the
+    leaf gradients."""
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(ad._topo_order(loss)):
+        if node._grad_fn is None or node.grad is None:
+            continue
+        for parent, g in zip(node._parents, node._grad_fn(node.grad)):
+            if g is None or not parent.requires_grad:
+                continue
+            parent.grad = g if parent.grad is None else parent.grad + g
 
 
 def finite_diff_grad(f, x):

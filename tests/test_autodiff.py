@@ -5,14 +5,17 @@ difference of the same scalarised computation. float64 with step 1e-5 puts
 the truncation error around 1e-10 relative, so the tolerances here are tight.
 """
 
+import itertools
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from memformer import autodiff as ad
 from memformer.attention import attend
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, serial_backward
 
 
 def _check_grads(build, tensors, rtol=1e-5, atol=1e-8):
@@ -445,18 +448,216 @@ def _mlp_arrays(rng, x_shape, hidden):
     ]
 
 
+@pytest.mark.parametrize("batch", [2, 1, 7, 16])
 @pytest.mark.parametrize("x_trainable", [True, False])
-def test_mlp_is_one_node_and_bitwise_the_chain(x_trainable):
+def test_mlp_is_one_node_and_bitwise_the_chain(deadline, x_trainable, batch):
+    # the fused node computes rows [0, ceil(B/2)) and the rest of its forward
+    # and input-gradient products apart, on two threads
     rng = np.random.default_rng(31)
-    arrays = _mlp_arrays(rng, (2, 5, 4), 6)
+    arrays = _mlp_arrays(rng, (batch, 5, 4), 6)
     # exact zeros at the kink on top of the random pre-activations
     arrays[2][:2] = -(arrays[0] @ arrays[1])[0, 0, :2]
     trainable = (x_trainable, True, True, True, True)
-    probe = rng.standard_normal((2, 5, 4))
-    out, got = _values_and_grads(ad._mlp, arrays, trainable, probe)
+    probe = rng.standard_normal((batch, 5, 4))
+    out, got = deadline(lambda: _values_and_grads(ad._mlp, arrays, trainable, probe))
     _, want = _values_and_grads(_chain_mlp, arrays, trainable, probe)
     assert out._op == "mlp" and len(out._parents) == 5
     _assert_bitwise(got, want)
+
+
+def test_a_leaf_that_feeds_three_nodes_adds_their_gradients_in_traversal_order(deadline):
+    # w's gradient has four terms: the one already held and one per node;
+    # float addition is not associative, so only the serial order's sum
+    # has the serial bits
+    rng = np.random.default_rng(38)
+    xs = [ad.constant(rng.standard_normal((4, 5, 6))) for _ in range(3)]
+    probe = ad.constant(rng.standard_normal((4, 5, 7)))
+    held = rng.standard_normal((6, 7))
+
+    def backward(w, b, run):
+        w.grad = held.copy()
+        y = ad.add(ad.add(ad.matmul(xs[0], w), ad.affine(xs[1], w, b)), ad.matmul(xs[2], w))
+        run(ad.tensor_sum(ad.mul(y, probe)))
+        return w.grad
+
+    arrays = rng.standard_normal((6, 7)), rng.standard_normal(7)
+    got = deadline(lambda: backward(*map(ad.parameter, arrays), lambda loss: loss.backward()))
+    want = backward(*map(ad.parameter, arrays), serial_backward)
+    assert got.tobytes() == want.tobytes()
+    # each node's term, as the serial replay hands it over
+    terms = []
+    for x in xs:
+        w = ad.parameter(arrays[0].copy())
+        serial_backward(ad.tensor_sum(ad.mul(ad.matmul(x, w), probe)))
+        terms.append(w.grad)
+    sums = {(held + a + b + c).tobytes() for a, b, c in itertools.permutations(terms)}
+    assert got.tobytes() in sums and len(sums) > 1
+
+
+def _deferring_net(rng):
+    """Parameters and a loss builder for a net with a leaf gradient of every
+    kind the backward hands the worker: a matmul weight, the four of an FFN,
+    a LayerNorm's gain and bias, and an affine's weight and bias."""
+    shapes = [(6, 6), (6, 16), (16,), (16, 6), (6,), (6,), (6,), (6, 3), (3,)]
+    params = [ad.parameter(rng.standard_normal(s)) for s in shapes]
+    x = ad.constant(rng.standard_normal((4, 5, 6)))
+    probe = ad.constant(rng.standard_normal((4, 5, 3)))
+
+    def loss():
+        w0, w1, b1, w2, b2, gain, bias, w3, b3 = params
+        z = ad.matmul(x, w0)
+        y = ad.layer_norm(ad.add(z, ad._mlp(z, w1, b1, w2, b2)), gain, bias)
+        return ad.tensor_sum(ad.mul(ad.affine(y, w3, b3), probe))
+
+    return params, loss
+
+
+@pytest.mark.parametrize("where", ["mlp forward", "mlp backward", "leaf gradient"])
+def test_an_error_on_the_worker_reaches_the_caller_once_no_task_runs(deadline, monkeypatch, where):
+    params, loss = _deferring_net(np.random.default_rng(39))
+
+    def step():
+        for p in params:
+            p.grad = None
+        loss().backward()
+        return [p.grad for p in params]
+
+    reference = deadline(step)
+    planted = ValueError("planted")
+    tasks, tail_ran_on = [], []
+
+    class Tracked(ad._Task):
+        __slots__ = ()
+
+        def __init__(self, fn):
+            super().__init__(fn)
+            tasks.append(self)
+
+    leaf_grad, split_rows = ad._leaf_grad, ad._split_rows
+
+    def slow_leaf_grad(t, compute):
+        # each deferred gradient takes a while, so a caller that raised
+        # without waiting would find some still queued or running
+        def slow():
+            time.sleep(0.01)
+            if where == "leaf gradient" and t is params[1]:
+                raise planted
+            return compute()
+
+        return leaf_grad(t, slow)
+
+    tail_started = threading.Event()
+
+    def failing_tail(fn, n):
+        def rows(part):
+            if part.start == 0:
+                # the head waits, so the tail is the worker's to run
+                assert tail_started.wait(30)
+                fn(part)
+            else:
+                tail_started.set()
+                tail_ran_on.append(threading.current_thread().name)
+                time.sleep(0.05)
+                raise planted
+
+        split_rows(rows, n)
+
+    monkeypatch.setattr(ad, "_Task", Tracked)
+    monkeypatch.setattr(ad, "_leaf_grad", slow_leaf_grad)
+    if where == "mlp forward":
+        monkeypatch.setattr(ad, "_split_rows", failing_tail)
+
+    def fail():
+        for p in params:
+            p.grad = None
+        graph = loss()
+        if where == "mlp backward":
+            monkeypatch.setattr(ad, "_split_rows", failing_tail)
+        graph.backward()
+
+    with pytest.raises(ValueError) as info:
+        deadline(fail)
+    finished = [t._future.done() for t in tasks]
+    assert info.value is planted
+    assert tasks and all(finished)
+    if where == "leaf gradient":
+        assert len(tasks) > 1
+    else:
+        assert len(tail_ran_on) == 1 and tail_ran_on[0].startswith("memformer-worker")
+    # a backward that fails changes no leaf gradient
+    assert all(p.grad is None for p in params)
+    # the worker serves the next step
+    monkeypatch.undo()
+    for got, want in zip(deadline(step), reference):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_backward_leaves_at_most_max_deferred_leaf_gradients_unfinished(deadline, monkeypatch):
+    # with every leaf gradient slow, the bound is reached; the calling
+    # thread then computes the next one itself, with the same bits
+    params, loss = _deferring_net(np.random.default_rng(40))
+    loss().backward()
+    reference = [p.grad for p in params]
+    deferred, unfinished, computed_here = [], [], []
+    leaf_grad = ad._leaf_grad
+
+    def slow_leaf_grad(t, compute):
+        def slow():
+            time.sleep(0.02)
+            return compute()
+
+        before = sum(not task._future.done() for task in deferred)
+        g = leaf_grad(t, slow)
+        if isinstance(g, ad._Task):
+            deferred.append(g)
+            unfinished.append(before)
+        elif not t._parents:
+            computed_here.append(t)
+        return g
+
+    monkeypatch.setattr(ad, "_leaf_grad", slow_leaf_grad)
+
+    def step():
+        for p in params:
+            p.grad = None
+        loss().backward()
+        return [p.grad for p in params]
+
+    for got, want in zip(deadline(step), reference):
+        assert got.tobytes() == want.tobytes()
+    assert len(deferred) + len(computed_here) == len(params) and computed_here
+    assert max(unfinished) == ad._MAX_DEFERRED - 1
+
+
+def test_backwards_from_more_threads_than_cores_keep_every_gradient_bit():
+    # four callers share the one worker, switching threads as often as the
+    # interpreter allows; each backward must wait for and add its own tasks
+    nets = [_deferring_net(np.random.default_rng(41)) for _ in range(5)]
+    params, loss = nets.pop()
+    serial_backward(loss())
+    reference = [p.grad.tobytes() for p in params]
+    results = [[] for _ in nets]
+
+    def call(i):
+        params, loss = nets[i]
+        for _ in range(10):
+            for p in params:
+                p.grad = None
+            loss().backward()
+            results[i].append([p.grad.tobytes() for p in params])
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(nets))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[reference] * 10 for _ in nets]
 
 
 def test_mlp_in_a_residual_diamond_accumulates_like_the_chain():

@@ -34,6 +34,7 @@ from memformer.harness import (
     write_report_text,
 )
 from memformer.model import MemFormer, ModelConfig
+from memformer.optim import Adam
 
 
 def tiny_model_config(**overrides):
@@ -248,14 +249,14 @@ def _traced_epoch_peak(dropout):
 def test_train_epoch_numpy_peak_stays_below_the_retained_graph_peak():
     # traced peaks without dropout: 65.2 MB while every node kept its
     # gradient and saved arrays until the next step's forward replaced the
-    # graph, 42.9 MB once backward released them, 34.1 MB (33.2 MB today)
+    # graph, 42.9 MB once backward released them, 34.1 MB (32.2 MB today)
     # once train dropped each step's graph before the next step's forward;
     # each limit is a midpoint
     peak = _traced_epoch_peak(0.0)
     assert peak < (65.2e6 + 42.9e6) / 2
     assert peak < (42.9e6 + 34.1e6) / 2
     # with dropout: 43.9 MB while a pool held each step's whole consumed
-    # graph into the next step, 40.2 MB (39.8 MB today) once nothing did
+    # graph into the next step, 40.2 MB (38.7 MB today) once nothing did
     assert _traced_epoch_peak(0.1) < (43.9e6 + 40.2e6) / 2
 
 
@@ -654,16 +655,28 @@ def test_read_only_forwards_from_more_threads_than_cores_keep_every_logit_bit(sc
     assert results == [[reference[i % 4]] * 10 for i in range(8)]
 
 
-def test_read_only_forwards_start_no_thread_per_call(scene):
+def test_read_only_forwards_start_no_thread_per_call(scene, deadline):
+    # train steps hand FFN rows and leaf gradients to the same worker that
+    # encodes half of each read-only batch
     cube, _, manifest = scene
     model = _seeded_model()
-    windows, _ = extract_samples(cube, manifest.test[:8], model.config.window)
-    before = threading.active_count()
-    with ad.no_grad():
+    windows, labels = extract_samples(cube, manifest.test[:8], model.config.window)
+    optimizer = Adam(model.parameters(), lr=1e-3, weight_decay=0.0)
+
+    def run():
+        before = threading.active_count()
         for _ in range(20):
-            model.forward(windows)
-    # the one worker, if no earlier forward started it
-    assert threading.active_count() <= before + 1
+            optimizer.zero_grad()
+            ad.cross_entropy(model.forward(windows, train=True), labels).backward()
+            optimizer.step()
+        with ad.no_grad():
+            for _ in range(20):
+                model.forward(windows)
+        return before, threading.active_count()
+
+    before, after = deadline(run)
+    # the one worker, if no earlier test started it
+    assert after <= before + 1
 
 
 def test_warm_read_only_forwards_fault_in_no_pages():

@@ -18,7 +18,7 @@ from memformer.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, serial_backward
 
 
 def _tiny_config(**overrides):
@@ -377,19 +377,6 @@ def test_train_step_records_one_node_per_fused_sublayer(attention):
     assert one["residual_norm"] == 2 and "layer_norm" not in one
 
 
-def _retaining_backward(loss):
-    """The traversal before backward released anything: every node keeps
-    its gradient and its grad_fn. The oracle for the leaf gradients."""
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(ad._topo_order(loss)):
-        if node._grad_fn is None or node.grad is None:
-            continue
-        for parent, g in zip(node._parents, node._grad_fn(node.grad)):
-            if g is None or not parent.requires_grad:
-                continue
-            parent.grad = g if parent.grad is None else parent.grad + g
-
-
 def _default_train_step_loss():
     cfg = ModelConfig(classes=2)
     model = MemFormer(cfg)
@@ -399,7 +386,7 @@ def _default_train_step_loss():
 
 def test_backward_releases_interior_nodes_and_keeps_leaf_gradients():
     oracle_model, oracle_loss = _default_train_step_loss()
-    _retaining_backward(oracle_loss)
+    serial_backward(oracle_loss)
     assert all(n.grad is not None for n in ad._topo_order(oracle_loss) if n._op == "mlp")
 
     model, loss = _default_train_step_loss()
@@ -426,6 +413,53 @@ def test_backward_releases_interior_nodes_and_keeps_leaf_gradients():
     assert {id(p) for p in got.values()} == {id(n) for n in leaves}
     for name, p in got.items():
         assert p.grad.tobytes() == want[name].grad.tobytes(), name
+
+
+@pytest.mark.parametrize("attention", ["memory", "standard"])
+@pytest.mark.parametrize("pe_mode", PE_MODES)
+def test_the_two_thread_backward_gives_the_leaf_gradients_of_a_serial_replay(
+    deadline, monkeypatch, attention, pe_mode
+):
+    cfg = ModelConfig(classes=3, attention=attention, pe_mode=pe_mode)
+    batch, labels = _batch(cfg, 16), np.arange(16) % 3
+
+    def step():
+        model = MemFormer(cfg)
+        _seed_memory(model)  # so that the attention path carries signal
+        return model, ad.cross_entropy(model.forward(batch, train=True), labels)
+
+    offered, deferred = [], []  # the leaves whose gradient may go, and went, to the worker
+    leaf_grad = ad._leaf_grad
+
+    def note_deferred(t, compute):
+        g = leaf_grad(t, compute)
+        if not t._parents:
+            offered.append(t)
+        if isinstance(g, ad._Task):
+            deferred.append(t)
+        return g
+
+    def two_threads():
+        model, loss = step()
+        monkeypatch.setattr(ad, "_leaf_grad", note_deferred)
+        loss.backward()
+        return model
+
+    model = deadline(two_threads)
+    monkeypatch.undo()
+    # the oracle runs every row and every gradient on the calling thread
+    monkeypatch.setattr(ad, "_split_rows", lambda fn, n: fn(slice(0, n)))
+    oracle, oracle_loss = step()
+    serial_backward(oracle_loss)
+    want, got = oracle.parameters(), model.parameters()
+    for name, p in got.items():
+        assert p.grad.tobytes() == want[name].grad.tobytes(), name
+    # every weight and bias of a matmul, affine or FFN node and every
+    # LayerNorm gain and bias; the CLS row, the projector kernel and the
+    # learnable table reach the loss through a reshape, a transpose or an add
+    passed_through = {"cls", "projector.kernel", "pos.table"}
+    assert {id(t) for t in offered} == {id(p) for name, p in got.items() if name not in passed_through}
+    assert deferred
 
 
 def test_train_forward_updates_each_layer_bank():

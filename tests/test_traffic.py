@@ -20,10 +20,12 @@ that ends in ``raise`` is an error check, and its entry is not required.
 Conditional expressions and the operands of ``and``/``or`` make no line
 arcs, so this check does not cover them.
 
-``sys.settrace`` traces the calling thread only. The worker thread that
-encodes half of each read-only ``MemFormer.forward`` batch is not seen, so
-every def and ``if`` side it runs must also run on the calling thread to
-count; the calling thread encodes the other half through the same defs.
+``sys.settrace`` traces the thread that calls it only, so the tracer is
+also installed on the autodiff worker thread, by a task that calls
+``sys.settrace`` there. That thread encodes half of each read-only
+``MemFormer.forward`` batch, half the rows of each recording ``_mlp`` and
+the leaf gradients of each ``backward``; a def or ``if`` side counts when
+it runs on either thread.
 """
 
 import ast
@@ -37,6 +39,7 @@ from pathlib import Path
 
 import pytest
 
+from memformer import autodiff as ad
 from memformer.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -180,12 +183,14 @@ def traffic(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(tmp_path_factory.mktemp("traffic"))
         sys.settrace(call)
+        ad._WORKER.submit(sys.settrace, call).result(timeout=60)
         try:
             with contextlib.redirect_stdout(io.StringIO()):
                 _cli()
                 for demo in DEMOS:
                     runpy.run_path(str(demo), run_name="__main__")
         finally:
+            ad._WORKER.submit(sys.settrace, None).result(timeout=60)
             sys.settrace(None)
     return codes, arcs
 
