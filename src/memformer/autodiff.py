@@ -42,10 +42,11 @@ returned array may alias another node's gradient (``add`` hands the same one
 to both parents) and no gradient array is ever written to after it is
 handed over.
 
-Training runs on two threads. The module owns the process's one worker
-thread, ``_WORKER``, and hands it three kinds of work, each of which it
-computes with the numpy calls of one thread on the same rows, so every
-number is bitwise the one-thread result:
+Training and read-only forwards run on two threads. The module owns the
+process's one worker thread, ``_WORKER``, and hands it work only as a
+``_Task``, run in a copy of the context of the thread that made it: three
+kinds of work, each computed with the numpy calls of one thread on the same
+rows, so every number is bitwise the one-thread result:
 - in a recording ``_mlp`` forward and in its backward's input-gradient
   products, rows [0, ceil(B/2)) run on the calling thread and the rest on
   the worker (``_split_rows``);
@@ -54,9 +55,11 @@ number is bitwise the one-thread result:
   gain's batch reduction) is a ``_Task`` the worker computes while the
   calling thread runs on down the input-gradient chain. A grad_fn called
   outside ``backward`` returns arrays;
-- ``MemFormer.forward`` hands it half of each read-only batch.
+- a read-only ``MemFormer.forward`` splits its encoder rows with
+  ``_split_rows``.
 The calling thread takes back and runs any ``_Task`` the worker has not
-started by the time it needs the result.
+started by the time it needs the result. A forked child gets a fresh
+worker, since the parent's thread does not exist in it.
 
 ``no_grad()`` switches recording off for a block: every primitive result
 made inside it is a constant with no parents and no ``grad_fn``, so each
@@ -64,10 +67,10 @@ intermediate is freed as soon as nothing reads its values. The values are
 the same as with recording on. Leaves are unaffected: ``parameter`` and
 ``glorot_uniform`` still make trainable tensors inside the block. Use it
 around forwards whose results are only read, never backpropagated. The
-switch is a ``contextvars.ContextVar``, so a block covers only the thread
-that entered it; the worker enters its own to encode half of a read-only
-``MemFormer.forward`` batch, and ``_mlp`` splits only recording calls, so
-no task the worker runs hands it another.
+switch is a ``contextvars.ContextVar``: a task handed to the worker runs
+in a copy of its maker's context and so inherits the block, and a thread
+the caller starts itself does not. ``_mlp`` splits only recording calls,
+so no task the worker runs hands it another.
 
 Every op allocates its own output. A graph's arrays go back to malloc when
 its last reference goes, so a caller that drops each step's graph before
@@ -81,6 +84,7 @@ import collections
 import contextlib
 import contextvars
 import math
+import os
 from concurrent import futures
 
 import numpy as np
@@ -268,10 +272,10 @@ _recording = contextvars.ContextVar("memformer_autodiff_recording", default=True
 
 @contextlib.contextmanager
 def no_grad():
-    """Record no graph inside the block, in the calling thread only: a thread
-    the block starts or hands work to records unless it enters its own. The
-    previous state returns on exit, also when the block raises, so blocks
-    nest."""
+    """Record no graph inside the block. Work the block hands to the worker
+    thread inherits it; a thread the block starts itself records unless it
+    enters its own. The previous state returns on exit, also when the block
+    raises, so blocks nest."""
     token = _recording.set(False)
     try:
         yield
@@ -288,15 +292,24 @@ def _node(data, parents, grad_fn, op):
 
 # -- the worker thread -------------------------------------------------------
 
-# the process's one worker thread; it starts with the first task and serves
-# every later one, from every calling thread, in the order they were handed
-# over. No task it runs hands it another and waits, so it never waits on
-# its own queue
-_WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="memformer-worker")
+def _start_worker():
+    """Bind ``_WORKER``, the process's one worker thread, to a new executor:
+    at import, and in a forked child, which has none of the parent's threads.
+    The thread starts with the first task and serves all, from every calling
+    thread, in the order handed over. No task it runs hands it another and
+    waits, so it never waits on its own queue."""
+    global _WORKER
+    _WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="memformer-worker")
+
+
+_start_worker()
+if hasattr(os, "register_at_fork"):  # not on Windows
+    os.register_at_fork(after_in_child=_start_worker)
 
 
 class _Task:
-    """``fn()``, handed to the worker.
+    """``fn()``, handed to the worker, run in a copy of the context of the
+    thread that made the task, so it sees that thread's ``no_grad``.
 
     ``result`` takes back a task the worker has not started and runs it on
     the calling thread, so no caller waits on a task queued behind others.
@@ -306,7 +319,7 @@ class _Task:
 
     def __init__(self, fn):
         self._fn = fn
-        self._future = _WORKER.submit(self._run)
+        self._future = _WORKER.submit(contextvars.copy_context().run, self._run)
 
     def _run(self):
         # the inputs are dropped once the task runs, not when it is read
@@ -318,19 +331,19 @@ class _Task:
 
 
 def _split_rows(fn, n):
-    """``fn(rows)`` for rows [0, ceil(n/2)) on the calling thread and for
-    [ceil(n/2), n) on the worker, or on the calling thread if the worker has
-    not started them by then. An error in either reaches the caller once
-    neither half is running."""
+    """``(fn(head), fn(tail))``: ``fn`` of the row slice head = [0, ceil(n/2))
+    on the calling thread and of tail = [ceil(n/2), n) on the worker, or on
+    the calling thread if the worker has not started it by then. An error in
+    either reaches the caller once neither half is running."""
     half = -(-n // 2)
     task = _Task(lambda: fn(slice(half, n)))
     try:
-        fn(slice(0, half))
+        head = fn(slice(0, half))
     except BaseException:
         if not task._future.cancel():
             futures.wait([task._future])
         raise
-    task.result()
+    return head, task.result()
 
 
 # inside ``Tensor.backward``, the leaf-gradient _Tasks it has handed the

@@ -14,9 +14,9 @@ Averaging over all rows keeps every token's residual path in the logits and
 makes the model trainable in both attention modes.
 
 A read-only forward (eval mode under ``autodiff.no_grad``, two windows or
-more) encodes the first half of its rows on the calling thread and the rest
-on the process's one worker thread, the one ``autodiff`` owns, then
-classifies all rows at once. Every logit is bitwise that of the unsplit
+more) encodes the first half of its rows on the calling thread and hands
+the rest to the process's one worker thread through ``autodiff._split_rows``,
+then classifies all rows at once. Every logit is bitwise that of the unsplit
 forward: a row's encoder output depends on its own window alone, and the
 classifier's product sees the whole batch. A train step runs on the same
 two threads inside ``autodiff``: each FFN splits its rows, and the backward
@@ -36,7 +36,6 @@ from __future__ import annotations
 import ctypes
 import math
 import struct
-from concurrent import futures
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -229,16 +228,17 @@ class MemFormer:
         """(B, W_s, W_s, S) windows -> (B, C) logits.
 
         A read-only forward, one in eval mode under ``autodiff.no_grad`` with
-        B >= 2, splits the encoder by rows: the calling thread encodes rows
-        [0, ceil(B/2)) while the autodiff worker thread encodes the rest,
-        each half in one pass. The pooled rows are joined in row order
-        and the classifier runs once on all B of them, so its BLAS kernel
-        sees the batch's own row count and the logits are bitwise those of
-        the unsplit forward. If a half raises, the error reaches the caller
-        only once both halves have finished. Train-mode and recording
-        forwards never split the encoder, only their FFN rows (see
-        ``autodiff._mlp``): a train step updates the banks from the batch
-        mean and draws its dropout masks in batch order.
+        B >= 2, splits the encoder by rows with ``autodiff._split_rows``: the
+        worker thread encodes rows [ceil(B/2), B), or the calling thread if
+        the worker has not started them once it has encoded the rest; each
+        half in one pass. The pooled rows are joined in row order and the
+        classifier runs once on all B of them, so its BLAS kernel sees the
+        batch's own row count and the logits are bitwise those of the
+        unsplit forward. If a half raises, the error reaches the caller once
+        neither half is running. Train-mode and recording forwards never
+        split the encoder, only their FFN rows (see ``autodiff._mlp``): a
+        train step updates the banks from the batch mean and draws its
+        dropout masks in batch order.
         """
         batch = np.asarray(batch, dtype=np.float64)
         cfg = self.config
@@ -252,21 +252,8 @@ class MemFormer:
         if train or b < 2 or ad._recording.get():
             pooled = self._encode(batch, train)
         else:
-            half = -(-b // 2)
-            tail = ad._WORKER.submit(self._encode_read_only, batch[half:])
-            try:
-                head = self._encode_read_only(batch[:half])
-            finally:
-                futures.wait([tail])
-            pooled = ad.concat([head, tail.result()], axis=0)
+            pooled = ad.concat(ad._split_rows(lambda rows: self._encode(batch[rows], False), b), axis=0)
         return ad.affine(pooled, self.classifier_w, self.classifier_b)
-
-    def _encode_read_only(self, batch):
-        """The (B, K) pooled rows of ``batch``, ``_encode``d in eval mode
-        under ``no_grad`` in one pass. A worker thread must enter ``no_grad``
-        itself: it does not inherit the caller's context."""
-        with ad.no_grad():
-            return self._encode(batch, False)
 
     def _encode(self, batch, train):
         """(B, W_s, W_s, S) windows -> (B, K) mean of the final encoder rows.

@@ -56,6 +56,8 @@ ALLOWED = {
     "autodiff.softmax_rows": "the README names it as the way to turn logits into probabilities; "
     "attention softmaxes inside the fused attend node",
     "autodiff.Tensor.__repr__": "Python calls it only to show a Tensor, when debugging",
+    "autodiff._start_worker": "it runs at import and then only in a forked child, which no CLI run or demo "
+    "makes; test_harness.py's test_a_forked_child_gets_a_fresh_worker_and_the_parents_results forks one",
 }
 
 # (def, if test) whose body no run enters -> why it stays
